@@ -11,12 +11,12 @@
 
 #include "core/cost/cloud_cost_model.h"
 #include "pricing/billing.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 
 using namespace cloudview;
 
 int main() {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   CloudCostModel model(aws);
 
   // The deployment of the running example.

@@ -133,8 +133,8 @@ inline DataSize ReplicatedWriteBytes(DataSize initial_dataset,
                              (1 + maintenance_cycles));
 }
 
-/// \brief The stock roster SolveJoint and the "arch-sweep" solver
-/// enumerate when ObjectiveSpec::architectures is empty: single-AZ
+/// \brief The stock roster a kSolveJoint request (the "arch-sweep"
+/// solver) enumerates when ObjectiveSpec::architectures is empty: single-AZ
 /// on-demand (the identity), a 2-AZ replicated pair, single-AZ spot,
 /// 2-AZ spot, and a 3-AZ reserved HA tier.
 std::vector<ArchitectureSpec> DefaultArchitectureRoster();

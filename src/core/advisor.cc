@@ -1,7 +1,7 @@
-// CloudScenario::Dispatch and the impl bodies behind the five legacy
-// facade methods (DESIGN.md §14). Lives in its own TU so the advisor
-// API surface (advisor.h) and the deployment wiring (scenario.cc)
-// evolve independently.
+// CloudScenario::Dispatch, the one advisor entry point, and its impl
+// bodies (DESIGN.md §14). Lives in its own TU so the advisor API
+// surface (advisor.h) and the deployment wiring (scenario.cc) evolve
+// independently.
 
 #include "core/advisor.h"
 
@@ -246,46 +246,6 @@ Result<SolveRun> CloudScenario::SolveImpl(const Workload& workload,
   return run;
 }
 
-Result<FrontierRun> CloudScenario::FrontierImpl(const Workload& workload,
-                                                const ObjectiveSpec& spec,
-                                                std::string_view solver,
-                                                AdvisorWarmSlot* warm,
-                                                ResponseMeta* meta) const {
-  CV_ASSIGN_OR_RETURN(
-      SolveRun run,
-      SolveImpl(workload, spec, solver, nullptr, warm, meta));
-  FrontierRun out;
-  out.baseline = std::move(run.baseline);
-  out.best = std::move(run.selection);
-  out.frontier = std::move(out.best.frontier);
-  out.best.frontier.clear();
-  if (out.frontier.empty() && out.best.feasible) {
-    // A single-objective strategy was named: degenerate to its one
-    // operating point rather than returning an empty frontier.
-    out.frontier.push_back(ParetoPoint{out.best.multi,
-                                       out.best.evaluation.selected,
-                                       out.best.solver});
-  }
-  return out;
-}
-
-Result<JointRun> CloudScenario::JointImpl(const Workload& workload,
-                                          const ObjectiveSpec& spec,
-                                          std::string_view solver,
-                                          AdvisorWarmSlot* warm,
-                                          ResponseMeta* meta) const {
-  CV_ASSIGN_OR_RETURN(
-      SolveRun run,
-      SolveImpl(workload, spec, solver, nullptr, warm, meta));
-  JointRun out;
-  out.baseline = std::move(run.baseline);
-  out.best = std::move(run.selection);
-  out.frontier = std::move(out.best.frontier);
-  out.best.frontier.clear();
-  out.best_architecture = out.best.architecture;
-  return out;
-}
-
 Result<AdvisorResponse> CloudScenario::Dispatch(
     const AdvisorRequest& request, AdvisorWarmSlot* warm) const {
   const auto start = std::chrono::steady_clock::now();
@@ -311,60 +271,50 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
   CV_ASSIGN_OR_RETURN(Workload workload, ResolveWorkload(request));
 
   switch (request.kind) {
-    case AdvisorRequestKind::kSolve: {
-      CV_ASSIGN_OR_RETURN(
-          response.solve,
-          SolveImpl(workload, request.objective, solver,
-                    request.cluster_override, warm, &response.meta));
-      response.meta.cancelled = response.solve.selection.cancelled;
-      response.meta.gap_fraction = response.solve.selection.gap_fraction;
-      break;
-    }
-    case AdvisorRequestKind::kFrontier: {
-      CV_ASSIGN_OR_RETURN(response.frontier,
-                          FrontierImpl(workload, request.objective, solver,
-                                       warm, &response.meta));
-      response.meta.cancelled = response.frontier.best.cancelled;
-      response.meta.gap_fraction = response.frontier.best.gap_fraction;
-      break;
-    }
-    case AdvisorRequestKind::kTimeline: {
-      CV_ASSIGN_OR_RETURN(WorkloadTimeline timeline,
-                          ResolveTimeline(request, workload));
-      CV_ASSIGN_OR_RETURN(
-          TemporalPlanner planner,
-          TemporalPlanner::Create(*lattice_, *simulator_, cluster_,
-                                  *cost_model_, std::move(timeline),
-                                  config_.candidates,
-                                  config_.maintenance_cycles));
-      CV_ASSIGN_OR_RETURN(
-          response.timeline,
-          planner.Run(request.objective, request.policy, solver));
-      break;
-    }
+    case AdvisorRequestKind::kSolve:
+    case AdvisorRequestKind::kFrontier:
     case AdvisorRequestKind::kSolveJoint: {
-      CV_ASSIGN_OR_RETURN(response.joint,
-                          JointImpl(workload, request.objective, solver,
-                                    warm, &response.meta));
-      response.meta.cancelled = response.joint.best.cancelled;
-      response.meta.gap_fraction = response.joint.best.gap_fraction;
+      // One solve; the frontier kinds repackage its selection as the
+      // frontier plus the spec's own best point.
+      const ClusterSpec* cluster_override =
+          request.kind == AdvisorRequestKind::kSolve
+              ? request.cluster_override
+              : nullptr;
+      CV_ASSIGN_OR_RETURN(
+          SolveRun run,
+          SolveImpl(workload, request.objective, solver, cluster_override,
+                    warm, &response.meta));
+      response.meta.cancelled = run.selection.cancelled;
+      response.meta.gap_fraction = run.selection.gap_fraction;
+      if (request.kind == AdvisorRequestKind::kSolve) {
+        response.solve = std::move(run);
+      } else if (request.kind == AdvisorRequestKind::kFrontier) {
+        FrontierRun& out = response.frontier;
+        out.baseline = std::move(run.baseline);
+        out.best = std::move(run.selection);
+        out.frontier = std::move(out.best.frontier);
+        out.best.frontier.clear();
+        if (out.frontier.empty() && out.best.feasible) {
+          // A single-objective strategy was named: degenerate to its
+          // one operating point rather than an empty frontier.
+          out.frontier.push_back(ParetoPoint{out.best.multi,
+                                             out.best.evaluation.selected,
+                                             out.best.solver});
+        }
+      } else {
+        JointRun& out = response.joint;
+        out.baseline = std::move(run.baseline);
+        out.best = std::move(run.selection);
+        out.frontier = std::move(out.best.frontier);
+        out.best.frontier.clear();
+        out.best_architecture = out.best.architecture;
+      }
       break;
     }
-    case AdvisorRequestKind::kCompareProviders: {
-      // One task per registered sheet: each rebuilds its own deployment
-      // (scenario, evaluator, selector) from scratch, so the sweeps
-      // share nothing but the immutable registries. Rows land by name
-      // index, keeping sorted provider order at any thread count.
-      std::vector<std::string> names = ProviderRegistry::Global().Names();
-      response.providers.resize(names.size());
-      CV_RETURN_IF_ERROR(ParallelForStatus(names.size(), [&](size_t i) {
-        return CompareOneProvider(names[i], workload, request.objective,
-                                  solver, response.providers[i]);
-      }));
-      break;
-    }
+    case AdvisorRequestKind::kTimeline:
     case AdvisorRequestKind::kComparePolicies: {
-      if (request.policies.empty()) {
+      if (request.kind == AdvisorRequestKind::kComparePolicies &&
+          request.policies.empty()) {
         return Status::InvalidArgument(
             "compare-policies needs a non-empty policies list");
       }
@@ -376,10 +326,59 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
                                   *cost_model_, std::move(timeline),
                                   config_.candidates,
                                   config_.maintenance_cycles));
-      CV_ASSIGN_OR_RETURN(
-          response.policies,
-          planner.ComparePolicies(request.objective, request.policies,
-                                  solver));
+      if (request.kind == AdvisorRequestKind::kTimeline) {
+        CV_ASSIGN_OR_RETURN(
+            response.timeline,
+            planner.Run(request.objective, request.policy, solver));
+      } else {
+        CV_ASSIGN_OR_RETURN(
+            response.policies,
+            planner.ComparePolicies(request.objective, request.policies,
+                                    solver));
+      }
+      break;
+    }
+    case AdvisorRequestKind::kCompareProviders: {
+      // One task per registered sheet: each rebuilds this deployment on
+      // the sheet as published (native billing semantics, not this
+      // scenario's pricing_overrides) and re-solves it with a kSolve
+      // Dispatch, so the sweeps share nothing but the immutable
+      // registries. Rows land by name index, keeping sorted provider
+      // order at any thread count.
+      std::vector<std::string> names = ProviderRegistry::Global().Names();
+      response.providers.resize(names.size());
+      CV_RETURN_IF_ERROR(ParallelForStatus(names.size(), [&](size_t i) {
+        ProviderComparisonRow& row = response.providers[i];
+        row.provider = names[i];
+        CV_ASSIGN_OR_RETURN(PricingModel model,
+                            ProviderRegistry::Global().Model(names[i]));
+        // Catalogs name their tiers differently: keep the configured
+        // instance when this provider offers it, otherwise rent the
+        // cheapest type matching the configured compute power.
+        Result<InstanceType> type =
+            model.instances().Find(config_.instance_name);
+        if (!type.ok()) {
+          type = model.instances().CheapestWithUnits(
+              cluster_.instance.compute_units);
+        }
+        CV_RETURN_IF_ERROR(type.status());
+        row.instance = type->name;
+        row.granularity = model.compute_granularity();
+
+        ScenarioConfig config = config_;
+        config.provider = names[i];
+        config.pricing_overrides = PricingOverrides{};
+        config.instance_name = type->name;
+        CV_ASSIGN_OR_RETURN(CloudScenario sheet,
+                            CloudScenario::Create(std::move(config)));
+        CV_ASSIGN_OR_RETURN(
+            AdvisorResponse solved,
+            sheet.Dispatch({.solver = std::string(solver),
+                            .objective = request.objective,
+                            .inline_workload = &workload}));
+        row.run = std::move(solved.solve);
+        return Status::OK();
+      }));
       break;
     }
   }

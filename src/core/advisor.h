@@ -1,16 +1,14 @@
-// Advisor API: the one request/response pair every CloudScenario
-// entry point speaks (DESIGN.md §14).
+// Advisor API: the one request/response pair every advisor operation
+// speaks (DESIGN.md §14).
 //
-// Historically the facade grew five parallel method families — solve,
-// frontier, timeline, provider comparison, policy comparison — each
-// with its own result struct and its own plumbing for solver name,
-// deadline, and telemetry. The serving layer (src/serving/) would have
-// multiplied that by transports. Instead, an AdvisorRequest is a tagged
-// variant over the five operations and an AdvisorResponse is a tagged
-// variant over their results plus one shared ResponseMeta (wall time,
-// cache counters, cancellation flag, optimality gap). The legacy
-// facade methods survive as thin shims over CloudScenario::Dispatch,
-// and src/serving/advisor_codec.h gives the pair a JSON form.
+// An AdvisorRequest is a tagged variant over the six operations —
+// solve, frontier, joint solve, timeline, provider comparison, policy
+// comparison — and an AdvisorResponse is a tagged variant over their
+// results plus one shared ResponseMeta (wall time, cache counters,
+// cancellation flag, optimality gap). CloudScenario::Dispatch is the
+// only way to run one; in-process callers build the request with
+// designated initializers, and src/serving/advisor_codec.h gives the
+// pair a JSON form.
 
 #pragma once
 
@@ -31,9 +29,7 @@
 
 namespace cloudview {
 
-/// \brief The five operations CloudScenario::Dispatch serves.
-/// (CompareProviderFrontiers stays a direct method: it is a diagnostic
-/// sweep, not a serving operation.)
+/// \brief The six operations CloudScenario::Dispatch serves.
 enum class AdvisorRequestKind {
   kSolve,
   kFrontier,
@@ -88,7 +84,7 @@ struct TimelineSpec {
   std::vector<DriftSpec> drifts;
 };
 
-/// \brief One advisor call: a tagged variant over the five operations.
+/// \brief One advisor call: a tagged variant over the six operations.
 /// Only the fields of the selected `kind` are read.
 struct AdvisorRequest {
   AdvisorRequestKind kind = AdvisorRequestKind::kSolve;
@@ -162,8 +158,7 @@ struct ResponseMeta {
   bool warm = false;
 };
 
-/// \brief A selection outcome paired with its no-view baseline
-/// (kSolve; the former ScenarioRun).
+/// \brief A selection outcome paired with its no-view baseline (kSolve).
 struct SolveRun {
   SelectionResult selection;
   SubsetEvaluation baseline;
@@ -217,16 +212,10 @@ struct ProviderComparisonRow {
   std::string instance;
   /// The sheet's native compute billing granularity.
   BillingGranularity granularity = BillingGranularity::kHour;
+  /// The sheet's solve. Under a multi-objective solver
+  /// (config().frontier_solver) run.selection.frontier holds the
+  /// sheet's whole trade-off curve.
   SolveRun run;
-};
-
-/// \brief One provider's row in a CompareProviderFrontiers sweep
-/// (direct method; not a Dispatch kind).
-struct ProviderFrontierRow {
-  std::string provider;
-  std::string instance;
-  BillingGranularity granularity = BillingGranularity::kHour;
-  FrontierRun run;
 };
 
 /// \brief The result variant: `kind` says which payload member is

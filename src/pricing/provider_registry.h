@@ -8,9 +8,9 @@
 //                       open: built-ins (pricing/providers.cc) and
 //                       downstream CSPs register the same way.
 //
-// Consumers select providers by name (ScenarioConfig::provider,
-// CloudScenario::CompareProviders, benches, examples) and never link
-// against a specific sheet. See DESIGN.md §7.
+// Consumers select providers by name (ScenarioConfig::provider, the
+// kCompareProviders sweep, benches, examples) and never link against a
+// specific sheet. See DESIGN.md §7.
 
 #pragma once
 

@@ -1,9 +1,28 @@
 // The built-in provider sheets, declared as PriceSheetSpecs and
-// self-registered into the global ProviderRegistry.
+// self-registered into the global ProviderRegistry under these names
+// (look them up with ProviderRegistry::Global().Model(name)):
+//
+//   "aws-2012"      — the paper's Tables 2-4, verbatim: EC2 micro
+//                     $0.03/h, small $0.12/h, large $0.48/h, xlarge
+//                     $0.96/h; tiered egress and storage (final tiers
+//                     extrapolate the paper's "..."); free ingress;
+//                     hour-granularity compute; flat-bracket storage
+//                     (the Formula 5 reading).
+//   "intro-example" — the fictitious CSP of the paper's introduction
+//                     ($0.10/GB-month storage, one $0.24/h instance);
+//                     reproduces the intro's $62 vs $64.6 example.
+//   "gigacloud"     — fictional per-minute-billing CSP.
+//   "bluecloud"     — fictional hour-billed CSP with non-free ingress
+//                     (the Formula-2 ingress terms AWS zeroes out).
+//   "nimbus"        — fictional metered CSP: per-request I/O charges,
+//                     reserved/on-demand rate pairs with an upfront
+//                     component, and a free tier.
+//
+// All but "aws-2012" are *fictional*, used for the paper's "include
+// pricing models from several CSPs" future-work item (Section 8): they
+// stress different corners of the model space without claiming to
+// reproduce any real price sheet.
 
-#include "pricing/providers.h"
-
-#include "common/logging.h"
 #include "pricing/price_sheet_spec.h"
 #include "pricing/provider_registry.h"
 
@@ -209,24 +228,6 @@ CLOUDVIEW_REGISTER_PROVIDER(gigacloud, GigaCloudSpec())
 CLOUDVIEW_REGISTER_PROVIDER(bluecloud, BlueCloudSpec())
 CLOUDVIEW_REGISTER_PROVIDER(nimbus, NimbusSpec())
 
-PricingModel MustModel(const char* name) {
-  Result<PricingModel> model = ProviderRegistry::Global().Model(name);
-  CV_CHECK(model.ok()) << model.status();
-  return model.MoveValue();
-}
-
 }  // namespace
-
-PricingModel AwsPricing2012() { return MustModel("aws-2012"); }
-
-PricingModel IntroExamplePricing() { return MustModel("intro-example"); }
-
-PricingModel GigaCloudPricing() { return MustModel("gigacloud"); }
-
-PricingModel BlueCloudPricing() { return MustModel("bluecloud"); }
-
-std::vector<PricingModel> AllProviders() {
-  return ProviderRegistry::Global().AllModels();
-}
 
 }  // namespace cloudview

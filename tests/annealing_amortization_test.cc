@@ -8,7 +8,7 @@
 #include "core/optimizer/annealing.h"
 #include "core/optimizer/candidate_generation.h"
 #include "engine/sales_generator.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 #include "workload/workload.h"
 
 namespace cloudview {
@@ -25,8 +25,8 @@ class AnnealingTest : public ::testing::Test {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ =
         ClusterSpec{pricing_->instances().Find("small").value(), 5};
@@ -180,7 +180,9 @@ TEST(Amortization, RealScenarioAmortizes) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run =
+      scenario.Dispatch({.objective = spec, .inline_workload = &workload})
+          ->solve;
 
   AmortizationInputs inputs;
   inputs.run_cost_without_views = run.baseline.cost.processing;

@@ -2,7 +2,7 @@
 // §15): spec validation, price-sheet lowering into exact rational
 // multipliers, the identity contract (default model reproduces the
 // legacy bill bit-for-bit), the "arch-sweep" joint solver and its
-// SolveJoint facade, the solve-joint wire form, and the spot-aware
+// kSolveJoint dispatch, the solve-joint wire form, and the spot-aware
 // temporal ledger.
 
 #include "catalog/architecture.h"
@@ -19,7 +19,6 @@
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "pricing/provider_registry.h"
-#include "pricing/providers.h"
 #include "serving/advisor_codec.h"
 #include "workload/generator.h"
 
@@ -166,8 +165,8 @@ struct Fixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator = std::make_unique<MapReduceSimulator>(*lattice, params);
     pricing = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model = std::make_unique<CloudCostModel>(*pricing);
     cluster = ClusterSpec{pricing->instances().Find("small").value(), 5};
     deployment.instance = cluster.instance;
@@ -335,7 +334,7 @@ TEST(ArchSweep, RejectsBadConfigurations) {
                   .IsInvalidArgument());
 }
 
-TEST(ArchSweep, ScenarioSolveJointFacade) {
+TEST(ArchSweep, ScenarioSolveJointDispatch) {
   ScenarioConfig config;
   CloudScenario scenario = CloudScenario::Create(config).MoveValue();
   Workload workload = scenario.PaperWorkload().MoveValue();
@@ -343,7 +342,11 @@ TEST(ArchSweep, ScenarioSolveJointFacade) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
 
-  JointRun run = scenario.SolveJoint(workload, spec).MoveValue();
+  JointRun run = scenario
+                     .Dispatch({.kind = AdvisorRequestKind::kSolveJoint,
+                                .objective = spec,
+                                .inline_workload = &workload})
+                     ->joint;
   ASSERT_FALSE(run.frontier.empty());
   EXPECT_EQ(run.best_architecture, run.best.architecture);
   EXPECT_FALSE(run.best_architecture.empty());

@@ -78,11 +78,12 @@ TEST(Cancellation, CancelledBranchAndBoundIsDeterministicAcrossThreads) {
   spec.cancel = &token;
 
   ThreadPool::SetGlobalConcurrency(1);
-  ScenarioRun one =
-      scenario.Run(workload, spec, "branch-and-bound").MoveValue();
+  const AdvisorRequest request{.solver = "branch-and-bound",
+                               .objective = spec,
+                               .inline_workload = &workload};
+  SolveRun one = scenario.Dispatch(request)->solve;
   ThreadPool::SetGlobalConcurrency(8);
-  ScenarioRun eight =
-      scenario.Run(workload, spec, "branch-and-bound").MoveValue();
+  SolveRun eight = scenario.Dispatch(request)->solve;
   ThreadPool::SetGlobalConcurrency(1);
 
   EXPECT_TRUE(one.selection.cancelled);

@@ -6,7 +6,7 @@
 #include <tuple>
 
 #include "core/cost/cloud_cost_model.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 
 namespace cloudview {
 namespace {
@@ -17,7 +17,7 @@ class CostModelPropertyTest
     : public ::testing::TestWithParam<BillingCombo> {
  protected:
   CostModelPropertyTest()
-      : pricing_(AwsPricing2012()
+      : pricing_(ProviderRegistry::Global().Model("aws-2012").value()
                      .WithComputeGranularity(std::get<0>(GetParam()))
                      .WithStorageBilling(std::get<1>(GetParam()))),
         model_(pricing_) {}

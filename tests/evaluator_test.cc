@@ -7,7 +7,7 @@
 
 #include "core/optimizer/candidate_generation.h"
 #include "engine/sales_generator.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 #include "workload/workload.h"
 
 namespace cloudview {
@@ -22,8 +22,8 @@ class EvaluatorTest : public ::testing::Test {
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_,
                                                       MapReduceParams{});
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{
         pricing_->instances().Find("small").value(), 5};

@@ -21,7 +21,7 @@
 #include "core/optimizer/pareto.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
 
@@ -43,8 +43,8 @@ struct Fixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator = std::make_unique<MapReduceSimulator>(*lattice, params);
     pricing = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model = std::make_unique<CloudCostModel>(*pricing);
     cluster = ClusterSpec{pricing->instances().Find("small").value(), 5};
     deployment.instance = cluster.instance;

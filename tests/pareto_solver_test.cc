@@ -1,8 +1,8 @@
 // Multi-objective strategies ("pareto-sweep", "pareto-genetic") and the
 // hard-constraint contract: frontiers are feasible, mutually
 // non-dominated and cover the single-objective optima; every registered
-// solver honors max_monthly_cost / max_storage / max_makespan; the
-// scenario facade (SolveFrontier, CompareProviderFrontiers) round-trips.
+// solver honors max_monthly_cost / max_storage / max_makespan; kFrontier
+// and multi-objective kCompareProviders dispatches round-trip.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "pricing/provider_registry.h"
-#include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
 
@@ -40,8 +39,8 @@ class ParetoSolverTest : public ::testing::Test {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
     deployment_.instance = cluster_.instance;
@@ -220,9 +219,9 @@ TEST_F(ParetoSolverTest, InfeasibleHardConstraintIsReported) {
   }
 }
 
-// --- Scenario facade --------------------------------------------------------
+// --- Scenario dispatch ------------------------------------------------------
 
-TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
+TEST(ParetoScenario, FrontierAndProviderSweep) {
   ExperimentConfig config;
   ASSERT_EQ(config.scenario.frontier_solver, "pareto-sweep");
   CloudScenario scenario =
@@ -234,8 +233,11 @@ TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
   spec.alpha = 0.5;
   spec.max_monthly_cost = Money::FromDollars(400);
 
-  FrontierRun run =
-      scenario.SolveFrontier(workload, spec).MoveValue();
+  FrontierRun run = scenario
+                        .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                                   .objective = spec,
+                                   .inline_workload = &workload})
+                        ->frontier;
   ASSERT_FALSE(run.frontier.empty());
   EXPECT_TRUE(run.best.feasible);
   // FrontierRun::frontier owns the points; the embedded result's copy
@@ -246,22 +248,60 @@ TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
   }
 
   // A single-objective solver degrades to a one-point frontier.
-  FrontierRun single =
-      scenario.SolveFrontier(workload, spec, "greedy").MoveValue();
+  FrontierRun single = scenario
+                           .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                                      .solver = "greedy",
+                                      .objective = spec,
+                                      .inline_workload = &workload})
+                           ->frontier;
   ASSERT_EQ(single.frontier.size(), 1u);
   EXPECT_EQ(single.frontier[0].score, single.best.multi);
 
-  // The provider sweep keeps sorted-name order and rebuilds each sheet.
-  std::vector<ProviderFrontierRow> rows =
-      scenario.CompareProviderFrontiers(workload, spec).MoveValue();
+  // The provider sweep under a multi-objective solver keeps
+  // sorted-name order, rebuilds each sheet and leaves each sheet's
+  // frontier in its row's selection.
+  std::vector<ProviderComparisonRow> rows =
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .solver = config.scenario.frontier_solver,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          ->providers;
   ASSERT_EQ(rows.size(), ProviderRegistry::Global().Names().size());
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1].provider, rows[i].provider);
   }
-  for (const ProviderFrontierRow& row : rows) {
-    for (const ParetoPoint& point : row.run.frontier) {
+  const ProviderComparisonRow* aws = nullptr;
+  for (const ProviderComparisonRow& row : rows) {
+    if (row.provider == "aws-2012") aws = &row;
+    for (const ParetoPoint& point : row.run.selection.frontier) {
       EXPECT_LE(point.score.monthly_cost, spec.max_monthly_cost);
     }
+  }
+
+  // A sheet's row is exactly a kFrontier solve on a scenario built on
+  // that sheet as published.
+  ASSERT_NE(aws, nullptr);
+  ScenarioConfig aws_config = config.scenario;
+  aws_config.provider = "aws-2012";
+  aws_config.pricing_overrides = {};
+  CloudScenario aws_scenario =
+      CloudScenario::Create(aws_config).MoveValue();
+  FrontierRun direct =
+      aws_scenario
+          .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          ->frontier;
+  const std::vector<ParetoPoint>& swept = aws->run.selection.frontier;
+  ASSERT_FALSE(swept.empty());
+  ASSERT_EQ(swept.size(), direct.frontier.size());
+  for (size_t i = 0; i < swept.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(swept[i].score, direct.frontier[i].score);
+    EXPECT_EQ(swept[i].selected, direct.frontier[i].selected);
+    EXPECT_EQ(swept[i].origin, direct.frontier[i].origin);
+    EXPECT_EQ(swept[i].architecture, direct.frontier[i].architecture);
   }
 }
 

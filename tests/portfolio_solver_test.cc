@@ -15,7 +15,7 @@
 #include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 #include "workload/workload.h"
 
 namespace cloudview {
@@ -46,8 +46,8 @@ class PortfolioFixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
     deployment_.instance = cluster_.instance;
@@ -184,16 +184,20 @@ TEST(ComparisonSweeps, ProviderRowsIndependentOfThreadCount) {
   Workload workload = scenario.PaperWorkload().value();
   ObjectiveSpec spec = Mv3();
 
+  const AdvisorRequest request{
+      .kind = AdvisorRequestKind::kCompareProviders,
+      .solver = "greedy",
+      .objective = spec,
+      .inline_workload = &workload};
   std::vector<ProviderComparisonRow> serial;
   {
     ScopedConcurrency one(1);
-    serial = scenario.CompareProviders(workload, spec, "greedy").value();
+    serial = scenario.Dispatch(request)->providers;
   }
   std::vector<ProviderComparisonRow> parallel;
   {
     ScopedConcurrency eight(8);
-    parallel =
-        scenario.CompareProviders(workload, spec, "greedy").value();
+    parallel = scenario.Dispatch(request)->providers;
   }
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_GE(serial.size(), 4u);  // The built-in sheets, at least.

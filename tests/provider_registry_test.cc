@@ -1,7 +1,7 @@
 // ProviderRegistry: the provider seam stays open — a fifth-party CSP
 // registered through the *public* CLOUDVIEW_REGISTER_PROVIDER macro
 // (from this test, no library sources touched) is selectable by name
-// through ScenarioConfig and shows up in CompareProviders sweeps.
+// through ScenarioConfig and shows up in kCompareProviders sweeps.
 
 #include "pricing/provider_registry.h"
 
@@ -11,7 +11,6 @@
 #include <set>
 
 #include "core/scenario.h"
-#include "pricing/providers.h"
 
 namespace cloudview {
 namespace {
@@ -123,8 +122,8 @@ TEST(ProviderRegistry, ReservedRateMustUndercutOnDemand) {
   EXPECT_TRUE(bad.Validate().IsInvalidArgument());
 }
 
-TEST(ProviderRegistry, MacroRegisteredProviderIsInAllProviders) {
-  std::vector<PricingModel> all = AllProviders();
+TEST(ProviderRegistry, MacroRegisteredProviderIsInAllModels) {
+  std::vector<PricingModel> all = ProviderRegistry::Global().AllModels();
   EXPECT_TRUE(std::any_of(
       all.begin(), all.end(),
       [](const PricingModel& m) { return m.name() == "test-csp"; }));
@@ -154,7 +153,9 @@ TEST(ProviderRegistry, MacroRegisteredProviderRunsScenario) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run =
+      scenario.Dispatch({.objective = spec, .inline_workload = &workload})
+          ->solve;
   EXPECT_GT(run.baseline.cost.total(), Money::Zero());
   // The per-request term reaches the breakdown: 5 queries x 100
   // requests/query, 100 free, $0.25/10k -> $0.01.
@@ -174,7 +175,7 @@ TEST(ProviderRegistry, MacroRegisteredProviderRunsScenario) {
   EXPECT_EQ(cost.compute(), billed);
 }
 
-TEST(ProviderRegistry, CompareProvidersIncludesDownstreamCsp) {
+TEST(ProviderRegistry, ProviderSweepIncludesDownstreamCsp) {
   ScenarioConfig config;
   config.sales.logical_size = DataSize::FromGB(10);
   config.mapreduce.job_startup = Duration::FromSeconds(45);
@@ -190,7 +191,11 @@ TEST(ProviderRegistry, CompareProvidersIncludesDownstreamCsp) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   std::vector<ProviderComparisonRow> rows =
-      scenario.CompareProviders(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          ->providers;
 
   std::vector<std::string> names = ProviderRegistry::Global().Names();
   ASSERT_EQ(rows.size(), names.size());

@@ -1,11 +1,12 @@
-// CloudScenario: the wired-up deployment facade.
+// CloudScenario: the wired-up deployment and its Dispatch entry point.
 
 #include "core/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "pricing/provider_registry.h"
-#include "pricing/providers.h"
 
 namespace cloudview {
 namespace {
@@ -60,21 +61,9 @@ TEST(CloudScenario, CreateRejectsUnknownProvider) {
   EXPECT_NE(status.message().find("aws-2012"), std::string::npos);
 }
 
-TEST(CloudScenario, RemovedPricingShimIsRejected) {
-  // The pre-registry explicit-model shim is gone: setting the field
-  // fails fast, and the error names the migration path.
-  ScenarioConfig config = SmallScenario();
-  config.pricing = GigaCloudPricing();
-  Status status = CloudScenario::Create(config).status();
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("provider"), std::string::npos);
-  EXPECT_NE(status.message().find("pricing_overrides"), std::string::npos);
-}
-
-TEST(CloudScenario, NameBasedSelectionCoversFormerShimModels) {
-  // What the shim used to express — an explicit GigaCloud sheet with
-  // native billing semantics — is exactly provider="gigacloud" with
-  // the overrides cleared.
+TEST(CloudScenario, NameBasedSelectionWithNativeBilling) {
+  // A sheet with its native billing semantics is its provider name
+  // with the overrides cleared.
   ScenarioConfig config = SmallScenario();
   config.provider = "gigacloud";
   config.instance_name = "g-small";
@@ -85,7 +74,7 @@ TEST(CloudScenario, NameBasedSelectionCoversFormerShimModels) {
             BillingGranularity::kMinute);  // GigaCloud bills by minute.
 }
 
-TEST(CloudScenario, CompareProvidersCoversRegistryInOrder) {
+TEST(CloudScenario, ProviderSweepCoversRegistryInOrder) {
   ScenarioConfig config = SmallScenario();
   config.candidates.max_candidates = 8;
   CloudScenario scenario = CloudScenario::Create(config).MoveValue();
@@ -95,7 +84,11 @@ TEST(CloudScenario, CompareProvidersCoversRegistryInOrder) {
   spec.alpha = 0.5;
 
   std::vector<ProviderComparisonRow> rows =
-      scenario.CompareProviders(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          ->providers;
   std::vector<std::string> names = ProviderRegistry::Global().Names();
   ASSERT_EQ(rows.size(), names.size());
   EXPECT_GE(rows.size(), 5u);  // The five builtin sheets.
@@ -120,7 +113,7 @@ TEST(CloudScenario, CompareProvidersCoversRegistryInOrder) {
   EXPECT_EQ(row_of("gigacloud").instance, "g-small");
   EXPECT_EQ(row_of("nimbus").instance, "n1");
 
-  // CompareProviders runs each sheet natively: the aws row bills by the
+  // The provider sweep runs each sheet natively: the aws row bills by the
   // started hour even though this scenario runs per-second.
   EXPECT_EQ(row_of("aws-2012").granularity, BillingGranularity::kHour);
   // The nimbus sheet's per-request charges reach its row's breakdown.
@@ -140,6 +133,23 @@ TEST(CloudScenario, CreateRejectsNonPositiveNodes) {
       CloudScenario::Create(config).status().IsInvalidArgument());
 }
 
+TEST(CloudScenario, CreateBoundsMaintenanceCycles) {
+  ScenarioConfig config = SmallScenario();
+  for (int64_t cycles : {int64_t{-1}, kMaxMaintenanceCycles + 1,
+                         std::numeric_limits<int64_t>::max()}) {
+    SCOPED_TRACE(cycles);
+    config.maintenance_cycles = cycles;
+    Status status = CloudScenario::Create(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument());
+    EXPECT_NE(status.message().find("maintenance_cycles"),
+              std::string::npos);
+  }
+  for (int64_t cycles : {int64_t{0}, kMaxMaintenanceCycles}) {
+    config.maintenance_cycles = cycles;
+    EXPECT_TRUE(CloudScenario::Create(config).ok()) << cycles;
+  }
+}
+
 TEST(CloudScenario, MoveKeepsInternalReferencesValid) {
   // CloudScenario is heap-backed; moving it must not dangle the
   // simulator -> lattice or cost-model -> pricing references.
@@ -149,17 +159,20 @@ TEST(CloudScenario, MoveKeepsInternalReferencesValid) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  EXPECT_TRUE(b.Run(workload, spec).ok());
+  EXPECT_TRUE(
+      b.Dispatch({.objective = spec, .inline_workload = &workload}).ok());
 }
 
-TEST(CloudScenario, RunProducesConsistentBaseline) {
+TEST(CloudScenario, SolveProducesConsistentBaseline) {
   CloudScenario scenario =
       CloudScenario::Create(SmallScenario()).MoveValue();
   Workload workload = scenario.PaperWorkload().MoveValue().Prefix(3);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(80);
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run =
+      scenario.Dispatch({.objective = spec, .inline_workload = &workload})
+          ->solve;
 
   EXPECT_TRUE(run.baseline.selected.empty());
   EXPECT_GT(run.baseline.processing_time, Duration::Zero());
@@ -236,22 +249,25 @@ TEST(CloudScenario, FixedStoragePeriodHonoured) {
   EXPECT_EQ(deployment.storage_period, Months::FromMonths(3));
 }
 
-TEST(CloudScenario, RunRejectsEmptyWorkload) {
+TEST(CloudScenario, SolveRejectsEmptyWorkload) {
   CloudScenario scenario =
       CloudScenario::Create(SmallScenario()).MoveValue();
-  ObjectiveSpec spec;
-  EXPECT_TRUE(scenario.Run(Workload{}, spec).status()
+  Workload empty;
+  EXPECT_TRUE(scenario.Dispatch({.inline_workload = &empty})
+                  .status()
                   .IsInvalidArgument());
 }
 
-TEST(ScenarioRun, ImprovementAccessors) {
+TEST(SolveRun, ImprovementAccessors) {
   CloudScenario scenario =
       CloudScenario::Create(SmallScenario()).MoveValue();
   Workload workload = scenario.PaperWorkload().MoveValue().Prefix(5);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run =
+      scenario.Dispatch({.objective = spec, .inline_workload = &workload})
+          ->solve;
   double ti = run.TimeImprovement(spec);
   double ci = run.CostImprovement();
   EXPECT_GE(ti, 0.0);

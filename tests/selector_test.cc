@@ -10,7 +10,7 @@
 
 #include "core/optimizer/candidate_generation.h"
 #include "engine/sales_generator.h"
-#include "pricing/providers.h"
+#include "pricing/provider_registry.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
 
@@ -30,8 +30,8 @@ class SelectorFixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
-            BillingGranularity::kSecond));
+        ProviderRegistry::Global().Model("aws-2012").value()
+            .WithComputeGranularity(BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
     deployment_.instance = cluster_.instance;

@@ -1,6 +1,6 @@
 // SessionManager: create/find/drop semantics, TTL eviction on an
-// injectable clock, the session cap, and the warm-slot telemetry a
-// served session accumulates.
+// injectable clock, the session cap, the warm-slot telemetry a served
+// session accumulates, and range checks on wire-supplied configs.
 
 #include "serving/session_manager.h"
 
@@ -8,6 +8,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+
+#include "serving/advisor_codec.h"
+#include "serving/advisor_service.h"
+#include "serving/json.h"
 
 namespace cloudview {
 namespace {
@@ -135,6 +140,33 @@ TEST(SessionManager, ServeAccumulatesWarmTelemetry) {
   ASSERT_TRUE(manager.Drop("s").ok());
   EXPECT_TRUE(session->Serve(request).ok());
   EXPECT_EQ(session->warm_hits(), 2u);
+}
+
+// Regression: a negative cycle count used to abort the process on the
+// first solve, and INT64_MAX wrapped the bill negative with ok=true.
+// Both session configs are now refused and the service keeps serving.
+TEST(SessionManager, OutOfRangeMaintenanceCyclesRefusedOnTheWire) {
+  std::unique_ptr<AdvisorService> service =
+      AdvisorService::Create({}).MoveValue();
+  for (const std::string cycles : {"-1", "9223372036854775807"}) {
+    SCOPED_TRACE(cycles);
+    ScenarioConfig config =
+        ParseScenarioConfig(
+            ParseJson("{\"maintenance_cycles\":" + cycles + "}").value())
+            .MoveValue();
+    Status created = service->sessions().Create("s", config).status();
+    EXPECT_TRUE(created.IsInvalidArgument()) << created;
+    EXPECT_NE(created.message().find("maintenance_cycles"),
+              std::string::npos);
+
+    AdvisorRequest request;
+    request.session = "s";
+    EXPECT_TRUE(service->Serve(request).status.IsNotFound());
+  }
+  ServeOutcome served = service->Serve(AdvisorRequest{});
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  EXPECT_GE(served.response.solve.selection.evaluation.cost.total(),
+            Money::Zero());
 }
 
 }  // namespace

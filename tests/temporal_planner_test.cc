@@ -222,7 +222,7 @@ TEST(TemporalPlanner, RejectsBadPolicyAndSolver) {
                   .IsNotFound());
 }
 
-TEST(CloudScenario, RunTimelineWiresThePlanner) {
+TEST(CloudScenario, TimelineDispatchWiresThePlanner) {
   // The scenario-level entry point on the paper's sales cube: provider
   // and solver by name, config-supplied candidate options.
   ScenarioConfig config;
@@ -246,9 +246,12 @@ TEST(CloudScenario, RunTimelineWiresThePlanner) {
 
   TemporalRunResult run =
       scenario
-          .RunTimeline(timeline, Mv3Spec(), ReselectPolicy::EveryK(2),
-                       "greedy")
-          .MoveValue();
+          .Dispatch({.kind = AdvisorRequestKind::kTimeline,
+                     .solver = "greedy",
+                     .objective = Mv3Spec(),
+                     .policy = ReselectPolicy::EveryK(2),
+                     .inline_timeline = &timeline})
+          ->timeline;
   ASSERT_EQ(run.ledger.size(), 4u);
   EXPECT_EQ(run.solver, "greedy");
   EXPECT_EQ(run.solver_runs, 2u);
@@ -256,10 +259,12 @@ TEST(CloudScenario, RunTimelineWiresThePlanner) {
 
   std::vector<TemporalRunResult> runs =
       scenario
-          .CompareReselectPolicies(
-              timeline, Mv3Spec(),
-              {ReselectPolicy::Static(), ReselectPolicy::OnDrift(0.2)})
-          .MoveValue();
+          .Dispatch({.kind = AdvisorRequestKind::kComparePolicies,
+                     .objective = Mv3Spec(),
+                     .policies = {ReselectPolicy::Static(),
+                                  ReselectPolicy::OnDrift(0.2)},
+                     .inline_timeline = &timeline})
+          ->policies;
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].policy.kind, ReselectPolicy::Kind::kStatic);
 }

@@ -16,7 +16,9 @@
 //
 // Transports: stdin/stdout by default (pipe or `nc -U`-style driving),
 // or --port N to listen on 127.0.0.1:N and serve TCP connections
-// sequentially (each connection speaks the same line protocol).
+// sequentially (each connection speaks the same line protocol). Both
+// run the same input loop; a line longer than kMaxLineBytes gets one
+// InvalidArgument reply and is discarded through its newline.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -27,7 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <utility>
 
@@ -153,44 +154,71 @@ HandledLine HandleLine(AdvisorService& service, const std::string& line) {
   return handled;
 }
 
-int RunStdio(AdvisorService& service) {
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    HandledLine handled = HandleLine(service, line);
-    std::cout << handled.reply << "\n" << std::flush;
-    if (handled.shutdown) return 0;
+// Longest request line the server buffers. Real requests are a few KB;
+// a longer line gets one InvalidArgument reply and the server discards
+// input through its newline, so no peer can grow the buffer unbounded.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
+bool WriteLine(int fd, std::string line) {
+  line.push_back('\n');
+  size_t written = 0;
+  while (written < line.size()) {
+    ssize_t w = ::write(fd, line.data() + written, line.size() - written);
+    if (w <= 0) return false;
+    written += static_cast<size_t>(w);
   }
-  return 0;
+  return true;
 }
 
-// Serves one accepted connection; returns true if a shutdown op was
-// seen (the accept loop then exits).
-bool ServeConnection(AdvisorService& service, int fd) {
+// Serves the line protocol from `in` to `out` until end of input, a
+// write failure or a shutdown op; returns true on shutdown (the TCP
+// accept loop then exits). Each byte is scanned for a newline once and
+// moved at most once.
+bool ServeConnection(AdvisorService& service, int in, int out) {
+  const std::string too_long = WriteJson(Envelope(Status::InvalidArgument(
+      "request line exceeds " + std::to_string(kMaxLineBytes) +
+      " bytes; discarded through the next newline")));
   std::string buffer;
-  char chunk[4096];
+  size_t start = 0;    // First byte of the pending line.
+  size_t scanned = 0;  // [start, scanned) holds no newline.
+  bool discarding = false;  // Inside an oversized line already refused.
   bool shutdown = false;
-  while (!shutdown) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+  // Replies to the line [start, end); false when the connection ends.
+  auto serve = [&](size_t end) {
+    if (discarding) {
+      discarding = false;
+      return true;
+    }
+    size_t length = end - start;
+    if (length == 0) return true;
+    if (length > kMaxLineBytes) return WriteLine(out, too_long);
+    HandledLine handled = HandleLine(service, buffer.substr(start, length));
+    shutdown = handled.shutdown;
+    return WriteLine(out, std::move(handled.reply)) && !shutdown;
+  };
+
+  char chunk[4096];
+  while (true) {
+    ssize_t n = ::read(in, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.append(chunk, static_cast<size_t>(n));
     size_t newline;
-    while (!shutdown && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.empty()) continue;
-      HandledLine handled = HandleLine(service, line);
-      handled.reply.push_back('\n');
-      size_t written = 0;
-      while (written < handled.reply.size()) {
-        ssize_t w = ::write(fd, handled.reply.data() + written,
-                            handled.reply.size() - written);
-        if (w <= 0) return shutdown;
-        written += static_cast<size_t>(w);
-      }
-      shutdown = handled.shutdown;
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos) {
+      if (!serve(newline)) return shutdown;
+      start = scanned = newline + 1;
     }
+    scanned = buffer.size();
+    if (!discarding && scanned - start > kMaxLineBytes) {
+      if (!WriteLine(out, too_long)) return false;
+      discarding = true;
+    }
+    if (discarding) start = scanned;
+    buffer.erase(0, start);
+    scanned -= start;
+    start = 0;
   }
+  // A final line without a newline is still a request.
+  serve(buffer.size());
   return shutdown;
 }
 
@@ -226,7 +254,7 @@ int RunTcp(AdvisorService& service, int port) {
   while (!shutdown) {
     int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) continue;
-    shutdown = ServeConnection(service, fd);
+    shutdown = ServeConnection(service, fd, fd);
     ::close(fd);
   }
   ::close(listener);
@@ -260,7 +288,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   if (port >= 0) return RunTcp(*service.value(), port);
-  return RunStdio(*service.value());
+  ServeConnection(*service.value(), STDIN_FILENO, STDOUT_FILENO);
+  return 0;
 }
 
 }  // namespace
