@@ -1,7 +1,10 @@
 // Evaluator hot-path microbench: the per-op costs underneath every
 // solver row in bench_solvers — single read-only probes, batched
 // neighborhood scans, committed toggles, memo-backed context probes,
-// and the from-scratch Evaluate() they all shortcut (DESIGN.md §11).
+// and the from-scratch Evaluate() they all shortcut (DESIGN.md §11) —
+// plus the two cold-path stages every warm-slot miss pays before any
+// probe: candidate generation and the evaluator's timing-table build
+// (one op = one whole call; DESIGN.md §13.6).
 // Rows are emitted in the bench_util.h BENCH_JSON format with the same
 // gated metric (subsets_per_sec) as the solver rows, so the CI
 // regression gate covers the evaluation layer directly: a solver row
@@ -58,8 +61,25 @@ struct Instance {
   ClusterSpec cluster;
   Workload workload;
   DeploymentSpec deployment;
+  CandidateGenOptions options;
   std::unique_ptr<SelectionEvaluator> evaluator;
 };
+
+// Builds the candidates and the evaluator from the instance's other
+// fields, and labels it "<prefix>/<queries>q/<candidates>c".
+void Finish(Instance& inst, const std::string& prefix) {
+  inst.evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
+      SelectionEvaluator::Create(
+          *inst.lattice, inst.workload, *inst.simulator, inst.cluster,
+          *inst.cost_model, inst.deployment,
+          Unwrap(GenerateCandidates(*inst.lattice, inst.workload,
+                                    *inst.simulator, inst.cluster,
+                                    inst.options),
+                 "candidates")),
+      "evaluator"));
+  inst.label = prefix + "/" + std::to_string(inst.workload.size()) + "q/" +
+               std::to_string(inst.evaluator->num_candidates()) + "c";
+}
 
 // The gate instance bench_solvers' rows run on: the paper's sales cube.
 Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
@@ -91,32 +111,18 @@ Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
       StorageTimeline(inst.lattice->fact_scan_size());
   inst.deployment.maintenance_cycles = 0;
 
-  CandidateGenOptions options;
-  options.max_candidates = max_candidates;
-  options.max_rows_fraction = 0.05;
-  inst.evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
-      SelectionEvaluator::Create(
-          *inst.lattice, inst.workload, *inst.simulator, inst.cluster,
-          *inst.cost_model, inst.deployment,
-          Unwrap(GenerateCandidates(*inst.lattice, inst.workload,
-                                    *inst.simulator, inst.cluster,
-                                    options),
-                 "candidates")),
-      "evaluator"));
-  inst.label = "sales/" + std::to_string(inst.workload.size()) + "q/" +
-               std::to_string(inst.evaluator->num_candidates()) + "c";
+  inst.options.max_candidates = max_candidates;
+  inst.options.max_rows_fraction = 0.05;
+  Finish(inst, "sales");
   return inst;
 }
 
-// A wider SSB mix whose query count exceeds the evaluator's
-// inline-sweep threshold, so the probe loops here run through the
-// dispatched (AVX2 when available) eval_kernels rather than the
-// small-instance scalar path.
-Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
+// The SSB lattice, simulator and bill on five small aws-2012 nodes, with
+// no workload or candidates yet.
+Instance MakeSsbBase() {
   Instance inst;
-  SsbConfig config;
   inst.lattice = std::make_unique<CubeLattice>(Unwrap(
-      CubeLattice::Build(Unwrap(MakeSsbSchema(config), "schema")),
+      CubeLattice::Build(Unwrap(MakeSsbSchema(SsbConfig{}), "schema")),
       "lattice"));
   inst.simulator = std::make_unique<MapReduceSimulator>(
       *inst.lattice, MapReduceParams{});
@@ -127,6 +133,21 @@ Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
   inst.cluster =
       ClusterSpec{Unwrap(inst.pricing->instances().Find("small"), "type"),
                   5};
+  inst.deployment.instance = inst.cluster.instance;
+  inst.deployment.nb_instances = inst.cluster.nodes;
+  inst.deployment.storage_period = Months::FromMilli(3);
+  inst.deployment.base_storage =
+      StorageTimeline(inst.lattice->fact_scan_size());
+  inst.deployment.maintenance_cycles = 0;
+  return inst;
+}
+
+// A wider SSB mix whose query count exceeds the evaluator's
+// inline-sweep threshold, so the probe loops here run through the
+// dispatched (AVX2 when available) eval_kernels rather than the
+// small-instance scalar path.
+Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
+  Instance inst = MakeSsbBase();
   Workload ssb = Unwrap(MakeSsbWorkload(*inst.lattice), "workload");
   std::vector<QuerySpec> mix;
   for (int r = 0; r < workload_repeats; ++r) {
@@ -136,28 +157,29 @@ Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
     }
   }
   inst.workload = Workload(std::move(mix));
+  inst.options.max_candidates = max_candidates;
+  inst.options.max_rows_fraction = 0.10;
+  Finish(inst, "ssb");
+  return inst;
+}
 
-  inst.deployment.instance = inst.cluster.instance;
-  inst.deployment.nb_instances = inst.cluster.nodes;
-  inst.deployment.storage_period = Months::FromMilli(3);
-  inst.deployment.base_storage =
-      StorageTimeline(inst.lattice->fact_scan_size());
-  inst.deployment.maintenance_cycles = 0;
-
-  CandidateGenOptions options;
-  options.max_candidates = max_candidates;
-  options.max_rows_fraction = 0.10;
-  inst.evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
-      SelectionEvaluator::Create(
-          *inst.lattice, inst.workload, *inst.simulator, inst.cluster,
-          *inst.cost_model, inst.deployment,
-          Unwrap(GenerateCandidates(*inst.lattice, inst.workload,
-                                    *inst.simulator, inst.cluster,
-                                    options),
-                 "candidates")),
-      "evaluator"));
-  inst.label = "ssb/" + std::to_string(inst.workload.size()) + "q/" +
-               std::to_string(inst.evaluator->num_candidates()) + "c";
+// One request of the advisor benchmark's cold-drift workload: queries
+// on seeded random SSB cuboids at frequencies 1-12, under the default
+// candidate knobs of a wire session.
+Instance MakeSsbDriftInstance(uint64_t seed, size_t num_queries,
+                              size_t max_candidates) {
+  Instance inst = MakeSsbBase();
+  Rng rng(seed);
+  std::vector<QuerySpec> queries;
+  for (size_t q = 0; q < num_queries; ++q) {
+    queries.push_back(QuerySpec{
+        .name = "drift" + std::to_string(q),
+        .target = static_cast<CuboidId>(rng.Uniform(inst.lattice->num_nodes())),
+        .frequency = static_cast<uint64_t>(rng.UniformInt(1, 12))});
+  }
+  inst.workload = Workload(std::move(queries));
+  inst.options.max_candidates = max_candidates;
+  Finish(inst, "ssb-drift");
   return inst;
 }
 
@@ -281,8 +303,35 @@ std::vector<Row> RunOps(const Instance& inst) {
   return rows;
 }
 
-void EmitInstance(const Instance& inst) {
-  std::vector<Row> rows = RunOps(inst);
+// The cold path of a warm-slot miss, one whole call per op.
+std::vector<Row> RunColdOps(const Instance& inst) {
+  std::vector<Row> rows;
+  rows.push_back({"candidate_generation", MeasureOp([&](uint64_t) {
+    std::vector<ViewCandidate> candidates =
+        Unwrap(GenerateCandidates(*inst.lattice, inst.workload,
+                                  *inst.simulator, inst.cluster,
+                                  inst.options),
+               "candidates");
+    return std::pair<uint64_t, int64_t>(
+        1, static_cast<int64_t>(candidates.size()));
+  })});
+  const std::vector<ViewCandidate>& candidates =
+      inst.evaluator->candidates();
+  rows.push_back({"evaluator_build", MeasureOp([&](uint64_t) {
+    SelectionEvaluator evaluator = Unwrap(
+        SelectionEvaluator::Create(*inst.lattice, inst.workload,
+                                   *inst.simulator, inst.cluster,
+                                   *inst.cost_model, inst.deployment,
+                                   candidates),
+        "evaluator");
+    return std::pair<uint64_t, int64_t>(
+        1, evaluator.baseline().cost.total().micros());
+  })});
+  return rows;
+}
+
+// Prints the rows as a table and as BENCH_JSON lines.
+void EmitInstance(const Instance& inst, std::vector<Row> rows) {
   TablePrinter table({"op", "ns/op", "subsets/sec"});
   table.SetTitle("Evaluator hot-path ops on " + inst.label);
   for (const Row& row : rows) {
@@ -363,9 +412,16 @@ int main(int argc, char** argv) {
       .Str("kernel", eval_kernels::DispatchName())
       .Emit();
 
-  EmitInstance(MakeSalesInstance(/*workload_size=*/10,
-                                 /*max_candidates=*/12));
-  EmitInstance(MakeSsbInstance(/*max_candidates=*/20,
-                               /*workload_repeats=*/3));
+  Instance sales = MakeSalesInstance(/*workload_size=*/10,
+                                     /*max_candidates=*/12);
+  EmitInstance(sales, RunOps(sales));
+  Instance ssb = MakeSsbInstance(/*max_candidates=*/20,
+                                 /*workload_repeats=*/3);
+  std::vector<Row> ssb_rows = RunOps(ssb);
+  for (Row& row : RunColdOps(ssb)) ssb_rows.push_back(row);
+  EmitInstance(ssb, std::move(ssb_rows));
+  Instance drift = MakeSsbDriftInstance(/*seed=*/2012, /*num_queries=*/64,
+                                        /*max_candidates=*/50);
+  EmitInstance(drift, RunColdOps(drift));
   return 0;
 }

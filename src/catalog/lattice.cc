@@ -1,5 +1,6 @@
 #include "catalog/lattice.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -16,6 +17,26 @@ CubeLattice::CubeLattice(StarSchema schema) : schema_(std::move(schema)) {
     num_nodes_ *= radix_.back();
   }
   base_.levels.assign(schema_.num_dimensions(), 0);
+
+  // Fill both tables in id order: the level vector advances like an
+  // odometer whose last dimension is the least significant digit.
+  const size_t dims = radix_.size();
+  levels_.assign(num_nodes_ * dims, 0);
+  rows_.resize(num_nodes_);
+  for (size_t id = 0; id < num_nodes_; ++id) {
+    uint8_t* row = levels_.data() + id * dims;
+    if (id > 0) {
+      std::copy(row - dims, row, row);
+      for (size_t d = dims; d-- > 0;) {
+        if (row[d] + 1u < radix_[d]) {
+          ++row[d];
+          break;
+        }
+        row[d] = 0;
+      }
+    }
+    rows_[id] = CardenasRows(row);
+  }
 }
 
 Result<CubeLattice> CubeLattice::Build(StarSchema schema) {
@@ -44,14 +65,8 @@ CuboidId CubeLattice::IdOf(const Cuboid& cuboid) const {
 
 Cuboid CubeLattice::CuboidOf(CuboidId id) const {
   CV_CHECK(id < num_nodes_) << "cuboid id out of range";
-  Cuboid cuboid;
-  cuboid.levels.assign(radix_.size(), 0);
-  uint64_t rest = id;
-  for (size_t d = radix_.size(); d-- > 0;) {
-    cuboid.levels[d] = static_cast<uint8_t>(rest % radix_[d]);
-    rest /= radix_[d];
-  }
-  return cuboid;
+  const uint8_t* row = LevelsOf(id);
+  return Cuboid{std::vector<uint8_t>(row, row + radix_.size())};
 }
 
 CuboidId CubeLattice::apex_id() const {
@@ -81,10 +96,12 @@ Result<CuboidId> CubeLattice::NodeByLevels(
 }
 
 bool CubeLattice::CanAnswer(CuboidId view, CuboidId query) const {
-  Cuboid v = CuboidOf(view);
-  Cuboid q = CuboidOf(query);
+  CV_CHECK(view < num_nodes_ && query < num_nodes_)
+      << "cuboid id out of range";
+  const uint8_t* v = LevelsOf(view);
+  const uint8_t* q = LevelsOf(query);
   for (size_t d = 0; d < radix_.size(); ++d) {
-    if (v.levels[d] > q.levels[d]) return false;
+    if (v[d] > q[d]) return false;
   }
   return true;
 }
@@ -115,28 +132,19 @@ std::vector<CuboidId> CubeLattice::Children(CuboidId id) const {
   return out;
 }
 
-std::vector<CuboidId> CubeLattice::AnswerSources(CuboidId id) const {
-  std::vector<CuboidId> out;
-  for (CuboidId candidate = 0; candidate < num_nodes_; ++candidate) {
-    if (CanAnswer(candidate, id)) out.push_back(candidate);
-  }
-  return out;
-}
-
-uint64_t CubeLattice::KeySpace(const Cuboid& cuboid) const {
+uint64_t CubeLattice::KeySpace(const uint8_t* levels) const {
   // Saturating product of level cardinalities.
   uint64_t space = 1;
   for (size_t d = 0; d < radix_.size(); ++d) {
-    uint64_t card = schema_.dimension(d).level(cuboid.levels[d]).cardinality;
+    uint64_t card = schema_.dimension(d).level(levels[d]).cardinality;
     if (card != 0 && space > UINT64_MAX / card) return UINT64_MAX;
     space *= card;
   }
   return space;
 }
 
-uint64_t CubeLattice::EstimateRows(CuboidId id) const {
-  Cuboid cuboid = CuboidOf(id);
-  uint64_t d = KeySpace(cuboid);
+uint64_t CubeLattice::CardenasRows(const uint8_t* levels) const {
+  uint64_t d = KeySpace(levels);
   uint64_t n = schema_.stats().fact_rows;
   if (d == 0) return 0;
   // Cardenas: expected distinct keys among n facts over d possible keys,
@@ -150,6 +158,11 @@ uint64_t CubeLattice::EstimateRows(CuboidId id) const {
   return est == 0 ? 1 : est;
 }
 
+uint64_t CubeLattice::EstimateRows(CuboidId id) const {
+  CV_CHECK(id < num_nodes_) << "cuboid id out of range";
+  return rows_[id];
+}
+
 DataSize CubeLattice::EstimateSize(CuboidId id) const {
   uint64_t rows = EstimateRows(id);
   return DataSize::FromBytes(static_cast<int64_t>(rows) *
@@ -157,12 +170,12 @@ DataSize CubeLattice::EstimateSize(CuboidId id) const {
 }
 
 std::string CubeLattice::NameOf(CuboidId id) const {
-  Cuboid cuboid = CuboidOf(id);
+  CV_CHECK(id < num_nodes_) << "cuboid id out of range";
+  const uint8_t* levels = LevelsOf(id);
   std::vector<std::string> parts;
   parts.reserve(radix_.size());
   for (size_t d = 0; d < radix_.size(); ++d) {
-    parts.push_back(
-        schema_.dimension(d).level(cuboid.levels[d]).name);
+    parts.push_back(schema_.dimension(d).level(levels[d]).name);
   }
   return "(" + Join(parts, ", ") + ")";
 }

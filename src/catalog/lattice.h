@@ -8,6 +8,12 @@
 //
 // Row counts per cuboid are estimated with Cardenas' formula
 // (expected distinct groups among `n` facts over `d` possible keys).
+//
+// Build() precomputes two flat tables (DESIGN.md §13.6): every cuboid's
+// level vector and its Cardenas row estimate, num_nodes·(dims + 8)
+// bytes in all. CanAnswer, EstimateRows and EstimateSize are lookups
+// into them and never allocate; candidate generation and the evaluator
+// call them once per (cuboid, query) pair.
 
 #pragma once
 
@@ -36,8 +42,8 @@ using CuboidId = uint32_t;
 /// \brief The full lattice of cuboids over a StarSchema.
 class CubeLattice {
  public:
-  /// \brief Builds the lattice; fails if the schema would produce more
-  /// than `kMaxNodes` cuboids.
+  /// \brief Builds the lattice and its level and row tables; fails if
+  /// the schema would produce more than `kMaxNodes` cuboids.
   static Result<CubeLattice> Build(StarSchema schema);
 
   static constexpr size_t kMaxNodes = 1u << 20;
@@ -69,6 +75,7 @@ class CubeLattice {
 
   /// \brief True iff `view` is finer-or-equal to `query` on every
   /// dimension, i.e. the view can answer the query by further roll-up.
+  /// A byte compare of two level-table rows.
   bool CanAnswer(CuboidId view, CuboidId query) const;
 
   /// \brief Immediate parents: one level coarser on exactly one dimension.
@@ -77,13 +84,11 @@ class CubeLattice {
   /// \brief Immediate children: one level finer on exactly one dimension.
   std::vector<CuboidId> Children(CuboidId id) const;
 
-  /// \brief All cuboids that can answer `id` (including itself and base).
-  std::vector<CuboidId> AnswerSources(CuboidId id) const;
-
   /// \brief Expected distinct rows in the cuboid's *aggregate* (Cardenas'
   /// formula over its key space, capped by the fact row count). Note the
   /// finest cuboid is still an aggregate — the raw fact table (with its
   /// duplicate keys) lives outside the lattice; see fact_scan_size().
+  /// Computed once per cuboid at Build().
   uint64_t EstimateRows(CuboidId id) const;
 
   /// \brief Estimated materialized size: rows x bytes_per_view_row.
@@ -99,12 +104,22 @@ class CubeLattice {
  private:
   explicit CubeLattice(StarSchema schema);
 
-  uint64_t KeySpace(const Cuboid& cuboid) const;
+  /// Row `id` of the level table: radix_.size() level bytes.
+  const uint8_t* LevelsOf(CuboidId id) const {
+    return levels_.data() + size_t{id} * radix_.size();
+  }
+
+  uint64_t KeySpace(const uint8_t* levels) const;
+  uint64_t CardenasRows(const uint8_t* levels) const;
 
   StarSchema schema_;
   std::vector<uint32_t> radix_;  // Levels per dimension.
   size_t num_nodes_ = 0;
   Cuboid base_;
+  // levels_[id * dims + d]: cuboid id's level on dimension d.
+  std::vector<uint8_t> levels_;
+  // rows_[id]: EstimateRows(id).
+  std::vector<uint64_t> rows_;
 };
 
 }  // namespace cloudview

@@ -148,6 +148,12 @@ Result<Workload> CloudScenario::ResolveWorkload(
         return Status::InvalidArgument("query \"" + q.name +
                                        "\" has zero frequency");
       }
+      if (q.frequency > kMaxQueryFrequency) {
+        return Status::InvalidArgument(
+            "query \"" + q.name + "\" frequency must be in [1, " +
+            std::to_string(kMaxQueryFrequency) + "], got " +
+            std::to_string(q.frequency));
+      }
     }
     return Workload(spec.queries);
   }

@@ -46,17 +46,20 @@ SelectionEvaluator::SelectionEvaluator(
     timing->result_bytes[q] = lattice.EstimateSize(target);
   }
   // Candidate-major fill: one contiguous column per candidate, written
-  // in the order the probe kernels will stream it.
+  // in the order the probe kernels will stream it. The view's size is
+  // looked up once per candidate and the query's once per query
+  // (result_bytes), so each cell is the JobTime that QueryTimeFromView
+  // would compute.
   timing->view_time_ms.assign(m * n, kUnanswerableMs);
   for (size_t c = 0; c < n; ++c) {
     int64_t* column = timing->view_time_ms.data() + c * m;
+    CuboidId view = candidates_[c].view;
+    DataSize view_size = lattice.EstimateSize(view);
     for (size_t q = 0; q < m; ++q) {
-      CuboidId target = workload.query(q).target;
-      if (lattice.CanAnswer(candidates_[c].view, target)) {
-        column[q] = simulator
-                        .QueryTimeFromView(candidates_[c].view, target,
-                                           cluster)
-                        .millis();
+      if (lattice.CanAnswer(view, workload.query(q).target)) {
+        column[q] =
+            simulator.JobTime(view_size, timing->result_bytes[q], cluster)
+                .millis();
       }
     }
   }

@@ -74,6 +74,16 @@ struct ScenarioConfig {
 /// micro-dollars for any per-round bill under ~$9M.
 inline constexpr int64_t kMaxMaintenanceCycles = 1'000'000;
 
+/// \brief Upper bound on a wire workload query's `frequency` (runs per
+/// billing period); ResolveWorkload refuses larger values. The binding
+/// term is the egress volume, sum of frequency x result bytes, held in
+/// an int64 DataSize: a 1 MiB request line holds at most ~52k queries,
+/// and the largest result of the wire schemas (the SSB base cuboid) is
+/// ~3.1 GB, so at the bound the volume stays under ~1.7e18 of 9.2e18
+/// bytes. Busy time and every bill have more room. Before the bound, a
+/// line of base-cuboid queries at frequency 6e4 already wrapped it.
+inline constexpr uint64_t kMaxQueryFrequency = 10'000;
+
 /// \brief A wired-up deployment; build once, run many workloads.
 class CloudScenario {
  public:

@@ -1,5 +1,7 @@
 #include "serving/advisor_codec.h"
 
+#include <limits>
+#include <string>
 #include <utility>
 
 namespace cloudview {
@@ -344,9 +346,13 @@ Result<WorkloadSpec> ParseWorkloadSpec(const JsonValue& json) {
       int64_t target = 0;
       CV_RETURN_IF_ERROR(
           ReadInt(q, "target", "workload.queries[i]", &target));
-      if (target < 0) {
+      // Range-check before narrowing to CuboidId, so a large value can
+      // never wrap onto another cuboid.
+      constexpr int64_t kMaxTarget = std::numeric_limits<CuboidId>::max();
+      if (target < 0 || target > kMaxTarget) {
         return Status::InvalidArgument(
-            "workload.queries[i].target must be non-negative");
+            "workload.queries[i].target must be in [0, " +
+            std::to_string(kMaxTarget) + "], got " + std::to_string(target));
       }
       query.target = static_cast<CuboidId>(target);
       CV_RETURN_IF_ERROR(ReadUint(q, "frequency", "workload.queries[i]",

@@ -139,6 +139,26 @@ TEST(AdvisorCodec, OutOfRangeValuesRejected) {
   ExpectRejected(R"({"kind":"timeline","policy":{"kind":"every-k","k":0}})");
 }
 
+// A target above the CuboidId range used to be narrowed to uint32 before
+// any check, so 2^32 + 5 was answered as cuboid 5.
+TEST(AdvisorCodec, TargetAboveCuboidIdRangeRejected) {
+  const std::string message = ExpectRejected(
+      R"({"kind":"solve","workload":{"kind":"queries",)"
+      R"("queries":[{"name":"q","target":4294967301,"frequency":1}]}})");
+  EXPECT_NE(message.find("workload.queries[i].target"), std::string::npos)
+      << message;
+  ExpectRejected(
+      R"({"kind":"solve","workload":{"kind":"queries",)"
+      R"("queries":[{"name":"q","target":4294967296,"frequency":1}]}})");
+  // The top of the range still parses (the scenario then checks it
+  // against its lattice).
+  Result<AdvisorRequest> top = ParseAdvisorRequestText(
+      R"({"kind":"solve","workload":{"kind":"queries",)"
+      R"("queries":[{"name":"q","target":4294967295,"frequency":1}]}})");
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top->workload.queries[0].target, 4294967295u);
+}
+
 TEST(AdvisorCodec, WrongTypesRejected) {
   ExpectRejected(R"({"kind":"solve","deadline_ms":"fast"})");
   ExpectRejected(R"({"kind":"solve","objective":[1]})");

@@ -212,7 +212,9 @@ TEST(ArchitectureProperty, SpotExpectationIsMonotoneInInterruptionRate) {
     } else {
       EXPECT_GT(eval.cost.interruption, Money());
     }
-    if (!first) EXPECT_GE(eval.cost.total(), previous);
+    if (!first) {
+      EXPECT_GE(eval.cost.total(), previous);
+    }
     previous = eval.cost.total();
     first = false;
   }

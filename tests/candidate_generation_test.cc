@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/random.h"
 #include "engine/sales_generator.h"
+#include "workload/ssb.h"
 #include "workload/workload.h"
 
 namespace cloudview {
@@ -290,6 +293,179 @@ TEST_F(CandidateGenTest, ExactSimilarityMergesOnlyIdenticalCoverage) {
                                         cluster_, tight)
                          .MoveValue();
   EXPECT_GE(ratio_bound.size(), merged.size());
+}
+
+// --- Equivalence with a naive reference -------------------------------
+//
+// GenerateCandidates scans a pool bitmap, computes the fact-table time
+// once per query and names only the kept roster. The reference below is
+// the plain definition: decode every cuboid with CuboidOf, compare
+// levels per dimension, and rebuild every time per (view, query) pair.
+// The rosters must be equal field for field and in the same order.
+
+bool DecodedCanAnswer(const CubeLattice& lattice, CuboidId view,
+                      CuboidId query) {
+  Cuboid v = lattice.CuboidOf(view);
+  Cuboid q = lattice.CuboidOf(query);
+  for (size_t d = 0; d < v.levels.size(); ++d) {
+    if (v.levels[d] > q.levels[d]) return false;
+  }
+  return true;
+}
+
+std::vector<ViewCandidate> ReferenceCandidates(
+    const CubeLattice& lattice, const Workload& workload,
+    const MapReduceSimulator& simulator, const ClusterSpec& cluster,
+    const CandidateGenOptions& options) {
+  struct Entry {
+    ViewCandidate candidate;
+    double benefit = 0.0;
+    std::vector<bool> coverage;
+  };
+  double fact_bytes = static_cast<double>(lattice.fact_scan_size().bytes());
+  double fact_rows = static_cast<double>(lattice.schema().stats().fact_rows);
+  std::vector<Entry> scored;
+  for (CuboidId id = 0; id < lattice.num_nodes(); ++id) {
+    bool in_pool = false;
+    for (const QuerySpec& q : workload.queries()) {
+      in_pool |= options.queries_only
+                     ? id == q.target
+                     : DecodedCanAnswer(lattice, id, q.target);
+    }
+    if (!in_pool) continue;
+    if (static_cast<double>(lattice.EstimateSize(id).bytes()) / fact_bytes >
+        options.max_size_fraction) {
+      continue;
+    }
+    if (static_cast<double>(lattice.EstimateRows(id)) / fact_rows >
+        options.max_rows_fraction) {
+      continue;
+    }
+    Entry entry;
+    entry.candidate = ViewCandidate{
+        .view = id,
+        .name = lattice.NameOf(id),
+        .size = lattice.EstimateSize(id),
+        .materialization_time =
+            simulator.MaterializationTimeFromFact(id, cluster),
+        .maintenance_time =
+            simulator.MaintenanceTime(id, options.maintenance_delta, cluster),
+    };
+    for (const QuerySpec& q : workload.queries()) {
+      bool covered = false;
+      if (DecodedCanAnswer(lattice, id, q.target)) {
+        Duration from_fact = simulator.QueryTimeFromFact(q.target, cluster);
+        Duration from_view = simulator.QueryTimeFromView(id, q.target, cluster);
+        if (from_view < from_fact) {
+          entry.benefit += static_cast<double>(q.frequency) *
+                           static_cast<double>((from_fact - from_view).millis());
+          covered = true;
+        }
+      }
+      entry.coverage.push_back(covered);
+    }
+    if (entry.benefit > 0.0) scored.push_back(std::move(entry));
+  }
+  std::sort(scored.begin(), scored.end(), [](const Entry& a, const Entry& b) {
+    if (a.benefit > b.benefit) return true;
+    if (b.benefit > a.benefit) return false;
+    return a.candidate.view < b.candidate.view;
+  });
+  std::vector<Entry> kept;
+  for (Entry& entry : scored) {
+    if (kept.size() >= options.max_candidates) break;
+    bool merged = false;
+    for (const Entry& rep : kept) {
+      if (options.cluster_similarity <= 0.0) break;
+      int64_t lo = std::min(rep.candidate.size.bytes(),
+                            entry.candidate.size.bytes());
+      int64_t hi = std::max(rep.candidate.size.bytes(),
+                            entry.candidate.size.bytes());
+      if (static_cast<double>(hi) >
+          options.cluster_size_ratio * static_cast<double>(lo)) {
+        continue;
+      }
+      size_t both = 0;
+      size_t either = 0;
+      for (size_t q = 0; q < entry.coverage.size(); ++q) {
+        both += rep.coverage[q] && entry.coverage[q];
+        either += rep.coverage[q] || entry.coverage[q];
+      }
+      if (static_cast<double>(both) >=
+          options.cluster_similarity * static_cast<double>(either)) {
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) kept.push_back(std::move(entry));
+  }
+  std::vector<ViewCandidate> out;
+  for (Entry& entry : kept) out.push_back(std::move(entry.candidate));
+  return out;
+}
+
+TEST(CandidateGenEquivalence, MatchesNaiveReferenceOnDriftedSsbWorkloads) {
+  CubeLattice lattice =
+      CubeLattice::Build(MakeSsbSchema(SsbConfig{}).MoveValue()).MoveValue();
+  MapReduceSimulator simulator(lattice, MapReduceParams{});
+  const int64_t kNodes[] = {5, 3, 8, 10};
+  Rng rng(20120326);
+  int clustering_merged = 0;
+  for (int round = 0; round < 24; ++round) {
+    // The shape of the advisor benchmark's cold-drift requests: 13-64
+    // queries on random SSB cuboids, frequencies 1-12.
+    std::vector<QuerySpec> queries;
+    int64_t count = rng.UniformInt(13, 64);
+    for (int64_t q = 0; q < count; ++q) {
+      queries.push_back(QuerySpec{
+          .name = "q" + std::to_string(q),
+          .target = static_cast<CuboidId>(rng.Uniform(lattice.num_nodes())),
+          .frequency = static_cast<uint64_t>(rng.UniformInt(1, 12))});
+    }
+    Workload workload(std::move(queries));
+    ClusterSpec cluster{InstanceType{.name = "small",
+                                     .price_per_hour = Money::FromCents(12),
+                                     .compute_units = 1.0},
+                        kNodes[round % 4]};
+    CandidateGenOptions options;
+    options.max_candidates = static_cast<size_t>(rng.UniformInt(20, 50));
+    if (round % 2 == 1) options.cluster_similarity = 0.6;
+    if (round % 3 == 2) options.max_rows_fraction = 0.05;
+    if (round % 5 == 4) options.maintenance_delta = DataSize::FromMB(64);
+    if (round % 8 == 7) options.queries_only = true;
+
+    auto got =
+        GenerateCandidates(lattice, workload, simulator, cluster, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<ViewCandidate> want =
+        ReferenceCandidates(lattice, workload, simulator, cluster, options);
+    ASSERT_FALSE(want.empty()) << "round " << round;
+    ASSERT_EQ(got->size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const ViewCandidate& g = (*got)[i];
+      const ViewCandidate& w = want[i];
+      EXPECT_EQ(g.view, w.view) << "round " << round << " rank " << i;
+      EXPECT_EQ(g.name, w.name) << "round " << round << " rank " << i;
+      EXPECT_EQ(g.size, w.size) << "round " << round << " rank " << i;
+      EXPECT_EQ(g.materialization_time, w.materialization_time)
+          << "round " << round << " rank " << i;
+      EXPECT_EQ(g.maintenance_time, w.maintenance_time)
+          << "round " << round << " rank " << i;
+    }
+    if (options.cluster_similarity > 0.0) {
+      CandidateGenOptions unclustered = options;
+      unclustered.cluster_similarity = 0.0;
+      std::vector<ViewCandidate> plain = ReferenceCandidates(
+          lattice, workload, simulator, cluster, unclustered);
+      bool same = plain.size() == want.size();
+      for (size_t i = 0; same && i < want.size(); ++i) {
+        same = plain[i].view == want[i].view;
+      }
+      clustering_merged += same ? 0 : 1;
+    }
+  }
+  // The clustered rounds must exercise the merge, not just pass through.
+  EXPECT_GT(clustering_merged, 0);
 }
 
 }  // namespace

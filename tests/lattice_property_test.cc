@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "catalog/key_codec.h"
 #include "catalog/lattice.h"
 #include "common/random.h"
@@ -12,11 +15,13 @@
 namespace cloudview {
 namespace {
 
-StarSchema RandomSchema(Rng& rng) {
-  size_t num_dims = 1 + rng.Uniform(4);  // 1..4 dimensions.
+// 1..max_dims dimensions of 1..max_depth explicit levels each.
+StarSchema RandomSchema(Rng& rng, size_t max_dims = 4,
+                        size_t max_depth = 3) {
+  size_t num_dims = 1 + rng.Uniform(max_dims);
   std::vector<Dimension> dims;
   for (size_t d = 0; d < num_dims; ++d) {
-    size_t depth = 1 + rng.Uniform(3);  // 1..3 explicit levels.
+    size_t depth = 1 + rng.Uniform(max_depth);
     std::vector<DimensionLevel> levels;
     uint64_t card = 1 + rng.Uniform(5000);
     for (size_t l = 0; l < depth; ++l) {
@@ -129,6 +134,134 @@ TEST_P(LatticePropertyTest, EstimateSizeConsistentWithRows) {
       }
     }
   }
+}
+
+// The level and row tables Build() precomputes must agree with the
+// definitions they replace: CanAnswer is a per-dimension comparison of
+// the decoded level vectors, EstimateRows is Cardenas over the cuboid's
+// key space. The reference decodes ids by mixed-radix division, as
+// CuboidOf did before the tables, so it shares nothing with them. Every
+// pair of a small lattice is checked; pairs of a large one are sampled.
+std::vector<uint8_t> DecodeLevels(const CubeLattice& lattice, CuboidId id) {
+  const StarSchema& schema = lattice.schema();
+  std::vector<uint8_t> levels(schema.num_dimensions());
+  uint64_t rest = id;
+  for (size_t d = levels.size(); d-- > 0;) {
+    uint64_t radix = schema.dimension(d).num_levels();
+    levels[d] = static_cast<uint8_t>(rest % radix);
+    rest /= radix;
+  }
+  return levels;
+}
+
+bool ReferenceCanAnswer(const CubeLattice& lattice, CuboidId view,
+                        CuboidId query) {
+  std::vector<uint8_t> v = DecodeLevels(lattice, view);
+  std::vector<uint8_t> q = DecodeLevels(lattice, query);
+  for (size_t d = 0; d < v.size(); ++d) {
+    if (v[d] > q[d]) return false;
+  }
+  return true;
+}
+
+uint64_t ReferenceCardenasRows(const CubeLattice& lattice, CuboidId id) {
+  const StarSchema& schema = lattice.schema();
+  std::vector<uint8_t> levels = DecodeLevels(lattice, id);
+  uint64_t d = 1;
+  for (size_t dim = 0; dim < levels.size(); ++dim) {
+    uint64_t card = schema.dimension(dim).level(levels[dim]).cardinality;
+    if (card != 0 && d > UINT64_MAX / card) {
+      d = UINT64_MAX;
+      break;
+    }
+    d *= card;
+  }
+  uint64_t n = schema.stats().fact_rows;
+  if (d == 0) return 0;
+  long double dd = static_cast<long double>(d);
+  long double nn = static_cast<long double>(n);
+  uint64_t est =
+      static_cast<uint64_t>(dd * (1.0L - std::exp(-nn / dd)));
+  est = std::min({est, d, n});
+  return est == 0 ? 1 : est;
+}
+
+void ExpectTablesMatch(const CubeLattice& lattice, Rng& rng) {
+  const size_t n = lattice.num_nodes();
+  auto expect_cuboid = [&](CuboidId id) {
+    EXPECT_EQ(lattice.CuboidOf(id).levels, DecodeLevels(lattice, id))
+        << "cuboid " << id;
+    EXPECT_EQ(lattice.EstimateRows(id), ReferenceCardenasRows(lattice, id))
+        << "cuboid " << id;
+  };
+  if (n <= 4096) {
+    for (CuboidId id = 0; id < n; ++id) expect_cuboid(id);
+  } else {
+    for (int probe = 0; probe < 4000; ++probe) {
+      expect_cuboid(static_cast<CuboidId>(rng.Uniform(n)));
+    }
+  }
+  if (n <= 64) {
+    for (CuboidId a = 0; a < n; ++a) {
+      for (CuboidId b = 0; b < n; ++b) {
+        EXPECT_EQ(lattice.CanAnswer(a, b), ReferenceCanAnswer(lattice, a, b))
+            << a << " -> " << b;
+      }
+    }
+  } else {
+    for (int probe = 0; probe < 4000; ++probe) {
+      CuboidId a = static_cast<CuboidId>(rng.Uniform(n));
+      CuboidId b = static_cast<CuboidId>(rng.Uniform(n));
+      EXPECT_EQ(lattice.CanAnswer(a, b), ReferenceCanAnswer(lattice, a, b))
+          << a << " -> " << b;
+      // A cuboid's ancestors-or-self answer it: check one guaranteed-true
+      // pair per probe too, since random pairs are mostly false.
+      Cuboid finer = lattice.CuboidOf(b);
+      for (uint8_t& level : finer.levels) {
+        level = static_cast<uint8_t>(rng.Uniform(level + 1u));
+      }
+      EXPECT_TRUE(lattice.CanAnswer(lattice.IdOf(finer), b));
+    }
+  }
+}
+
+TEST_P(LatticePropertyTest, TablesMatchDecodedDefinitions) {
+  Rng rng(GetParam() ^ 0x7AB1E);
+  for (int round = 0; round < 10; ++round) {
+    ExpectTablesMatch(CubeLattice::Build(RandomSchema(rng)).MoveValue(),
+                      rng);
+  }
+  // One large lattice (more than 4096 cuboids, up to 7 dimensions of up
+  // to 6 levels), where rows and pairs are sampled.
+  for (;;) {
+    CubeLattice large =
+        CubeLattice::Build(RandomSchema(rng, 7, 5)).MoveValue();
+    if (large.num_nodes() <= 4096) continue;
+    ExpectTablesMatch(large, rng);
+    break;
+  }
+}
+
+// A dimension with 256 levels (255 named + ALL) is the widest a level
+// byte holds: the table fill must carry past it.
+TEST(LatticeTables, CarryPastAFullLevelByte) {
+  std::vector<DimensionLevel> wide;
+  for (int i = 0; i < 255; ++i) {
+    wide.push_back({"w" + std::to_string(i), 1});
+  }
+  std::vector<Dimension> dims;
+  dims.push_back(Dimension::Create("wide", wide).MoveValue());
+  dims.push_back(
+      Dimension::Create("narrow", {{"n0", 3}}).MoveValue());
+  CubeLattice lattice =
+      CubeLattice::Build(StarSchema::Create("fact", std::move(dims),
+                                            {{"m", AggFn::kSum}},
+                                            PhysicalStats{.fact_rows = 10})
+                             .MoveValue())
+          .MoveValue();
+  ASSERT_EQ(lattice.num_nodes(), 512u);
+  Rng rng(7);
+  ExpectTablesMatch(lattice, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticePropertyTest,

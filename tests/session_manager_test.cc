@@ -169,5 +169,66 @@ TEST(SessionManager, OutOfRangeMaintenanceCyclesRefusedOnTheWire) {
             Money::Zero());
 }
 
+void ExpectNonNegativeRows(const CostBreakdown& cost) {
+  for (Money row : {cost.processing, cost.materialization, cost.maintenance,
+                    cost.storage, cost.transfer, cost.requests,
+                    cost.session_rounding, cost.interruption, cost.inter_az}) {
+    EXPECT_GE(row, Money::Zero());
+  }
+  EXPECT_GT(cost.total(), Money::Zero());
+}
+
+// Regression: a query frequency of ~4e12 wrapped the busy time and
+// aborted the server (every tenant's session with it), and smaller ones
+// wrapped the egress volume. Frequencies above kMaxQueryFrequency are
+// refused; a 1 MiB line packed with the slowest, largest-result queries
+// at the bound still bills every row non-negative.
+TEST(SessionManager, QueryFrequencyBoundedOnTheWire) {
+  std::unique_ptr<AdvisorService> service =
+      AdvisorService::Create({}).MoveValue();
+  ScenarioConfig config =
+      ParseScenarioConfig(
+          ParseJson(R"({"schema":"ssb","provider":"gigacloud",)"
+                    R"("instance_name":"g-micro","nb_instances":1})")
+              .value())
+          .MoveValue();
+  ASSERT_TRUE(service->sessions().Create("s", config).ok());
+
+  const std::string head =
+      R"({"kind":"solve","session":"s","objective":{"scenario":"mv3",)"
+      R"("alpha":0.5},"workload":{"kind":"queries","queries":[)";
+  auto request_with = [&](const std::string& query, size_t count) {
+    std::string text = head;
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) text += ",";
+      text += query;
+    }
+    return ParseAdvisorRequestText(text + "]}}").MoveValue();
+  };
+
+  ServeOutcome refused = service->Serve(request_with(
+      R"({"name":"q","target":0,"frequency":9223372036854775807})", 1));
+  EXPECT_TRUE(refused.status.IsInvalidArgument()) << refused.status;
+  EXPECT_NE(refused.status.message().find("frequency"), std::string::npos);
+  ServeOutcome above = service->Serve(request_with(
+      R"({"frequency":)" + std::to_string(kMaxQueryFrequency + 1) + "}", 1));
+  EXPECT_TRUE(above.status.IsInvalidArgument()) << above.status;
+
+  // Target 0 is the SSB base cuboid: the largest result and, with one
+  // g-micro node, the slowest scan. As many as fit in the server's 1 MiB
+  // line cap.
+  const std::string at_cap =
+      R"({"frequency":)" + std::to_string(kMaxQueryFrequency) + "}";
+  const size_t count = (size_t{1} << 20) / (at_cap.size() + 1);
+  ServeOutcome served = service->Serve(request_with(at_cap, count));
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  const SolveRun& solve = served.response.solve;
+  ExpectNonNegativeRows(solve.baseline.cost);
+  ExpectNonNegativeRows(solve.selection.evaluation.cost);
+
+  // The service kept serving through the refusals.
+  EXPECT_TRUE(service->Serve(AdvisorRequest{}).status.ok());
+}
+
 }  // namespace
 }  // namespace cloudview
