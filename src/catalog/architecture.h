@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/data_size.h"
+#include "common/enum_names.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "pricing/instance_type.h"
@@ -37,6 +38,14 @@ enum class PurchasePlan {
   kSpot,
 };
 
+template <>
+struct EnumNames<PurchasePlan> {
+  static constexpr EnumName<PurchasePlan> kTable[] = {
+      {"on-demand", PurchasePlan::kOnDemand},
+      {"reserved", PurchasePlan::kReserved},
+      {"spot", PurchasePlan::kSpot}};
+};
+
 /// \brief How many durable copies of stored bytes the architecture
 /// keeps beyond the per-replica working copies.
 enum class DurabilityTier {
@@ -46,6 +55,14 @@ enum class DurabilityTier {
   kZonal,
   /// Two extra copies spread across the region.
   kRegional,
+};
+
+template <>
+struct EnumNames<DurabilityTier> {
+  static constexpr EnumName<DurabilityTier> kTable[] = {
+      {"local", DurabilityTier::kLocal},
+      {"zonal", DurabilityTier::kZonal},
+      {"regional", DurabilityTier::kRegional}};
 };
 
 /// \brief One homogeneous group of cluster replicas.
@@ -138,8 +155,5 @@ inline DataSize ReplicatedWriteBytes(DataSize initial_dataset,
 /// on-demand (the identity), a 2-AZ replicated pair, single-AZ spot,
 /// 2-AZ spot, and a 3-AZ reserved HA tier.
 std::vector<ArchitectureSpec> DefaultArchitectureRoster();
-
-const char* ToString(PurchasePlan plan);
-const char* ToString(DurabilityTier tier);
 
 }  // namespace cloudview

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/str_format.h"
 #include "common/thread_pool.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/scenario.h"
@@ -44,13 +45,10 @@ uint64_t SolveFingerprint(const Workload& workload,
   return h;
 }
 
+// Each model checks its own parameters when applied; only the narrowing
+// casts are guarded here.
 Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
   if (spec.kind == "frequency-decay") {
-    if (spec.factor <= 0.0 || spec.factor > 1.0) {
-      return Status::InvalidArgument(
-          "frequency-decay drift needs factor in (0, 1], got " +
-          std::to_string(spec.factor));
-    }
     return std::unique_ptr<DriftModel>(std::make_unique<FrequencyDecayDrift>(
         spec.factor, static_cast<uint64_t>(spec.floor < 0 ? 0 : spec.floor)));
   }
@@ -66,19 +64,10 @@ Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
         static_cast<size_t>(spec.phase), spec.amplitude));
   }
   if (spec.kind == "query-churn") {
-    if (spec.rate < 0.0 || spec.rate > 1.0) {
-      return Status::InvalidArgument(
-          "query-churn drift needs rate in [0, 1], got " +
-          std::to_string(spec.rate));
-    }
     return std::unique_ptr<DriftModel>(
         std::make_unique<QueryChurnDrift>(spec.rate, spec.cuboid_skew));
   }
   if (spec.kind == "dataset-growth") {
-    if (spec.growth_per_period < 0.0) {
-      return Status::InvalidArgument(
-          "dataset-growth drift needs growth_per_period >= 0");
-    }
     return std::unique_ptr<DriftModel>(
         std::make_unique<DatasetGrowthDrift>(spec.growth_per_period));
   }
@@ -91,21 +80,7 @@ Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
 }  // namespace
 
 const char* AdvisorRequestKindName(AdvisorRequestKind kind) {
-  switch (kind) {
-    case AdvisorRequestKind::kSolve:
-      return "solve";
-    case AdvisorRequestKind::kFrontier:
-      return "frontier";
-    case AdvisorRequestKind::kTimeline:
-      return "timeline";
-    case AdvisorRequestKind::kCompareProviders:
-      return "compare-providers";
-    case AdvisorRequestKind::kComparePolicies:
-      return "compare-policies";
-    case AdvisorRequestKind::kSolveJoint:
-      return "solve-joint";
-  }
-  return "unknown";
+  return NameOf(kind);
 }
 
 double SolveRun::TimeImprovement(const ObjectiveSpec& spec) const {
@@ -165,19 +140,35 @@ Result<WorkloadTimeline> CloudScenario::ResolveTimeline(
     const AdvisorRequest& request, const Workload& base) const {
   if (request.inline_timeline != nullptr) return *request.inline_timeline;
   const TimelineSpec& spec = request.timeline;
-  if (spec.num_periods <= 0) {
-    return Status::InvalidArgument("timeline needs num_periods > 0, got " +
-                                   std::to_string(spec.num_periods));
+  if (spec.num_periods < 1 || spec.num_periods > kMaxTimelinePeriods) {
+    return Status::InvalidArgument(
+        "timeline num_periods must be in [1, " +
+        std::to_string(kMaxTimelinePeriods) + "], got " +
+        std::to_string(spec.num_periods));
   }
-  if (spec.period_length.milli() <= 0) {
-    return Status::InvalidArgument("timeline needs a positive period_length");
+  if (spec.period_length.milli() < 1 ||
+      spec.period_length > kMaxStoragePeriod) {
+    return Status::InvalidArgument(
+        "timeline period_length must be in [1, " +
+        std::to_string(kMaxStoragePeriod.milli()) + "] milli-months, got " +
+        std::to_string(spec.period_length.milli()));
   }
   std::vector<std::unique_ptr<DriftModel>> drift;
   drift.reserve(spec.drifts.size());
+  double spike = 1.0;
   for (const DriftSpec& d : spec.drifts) {
     CV_ASSIGN_OR_RETURN(std::unique_ptr<DriftModel> model,
                         MakeDriftModel(d));
     drift.push_back(std::move(model));
+    if (d.kind == "seasonal-spike") spike *= 1.0 + d.amplitude;
+  }
+  // Aligned seasons spike in the same period, so the bound is on the
+  // compounded factor (a negative amplitude fails in the drift itself).
+  if (spike > kMaxSpikeFactor) {
+    return Status::InvalidArgument(StrFormat(
+        "seasonal-spike amplitudes compound to a %g-fold spike; the "
+        "product of (1 + amplitude) must be at most %g",
+        spike, kMaxSpikeFactor));
   }
   TimelineOptions options;
   options.num_periods = static_cast<size_t>(spec.num_periods);

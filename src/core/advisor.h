@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/months.h"
 #include "core/optimizer/evaluator.h"
 #include "core/optimizer/selector.h"
@@ -37,6 +38,17 @@ enum class AdvisorRequestKind {
   kCompareProviders,
   kComparePolicies,
   kSolveJoint,
+};
+
+template <>
+struct EnumNames<AdvisorRequestKind> {
+  static constexpr EnumName<AdvisorRequestKind> kTable[] = {
+      {"solve", AdvisorRequestKind::kSolve},
+      {"frontier", AdvisorRequestKind::kFrontier},
+      {"timeline", AdvisorRequestKind::kTimeline},
+      {"compare-providers", AdvisorRequestKind::kCompareProviders},
+      {"compare-policies", AdvisorRequestKind::kComparePolicies},
+      {"solve-joint", AdvisorRequestKind::kSolveJoint}};
 };
 
 /// \brief Registry name of a request kind ("solve", "frontier", ...).

@@ -19,6 +19,13 @@ const char* ToString(Scenario scenario) {
   return "?";
 }
 
+Status ValidateObjective(const ObjectiveSpec& spec) {
+  if (spec.alpha < 0.0 || spec.alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be within [0, 1]");
+  }
+  return Status::OK();
+}
+
 double ViewSelector::TradeoffObjective(const ObjectiveSpec& spec,
                                        const SubsetEvaluation& eval) const {
   SolverContext context(*evaluator_, spec);
@@ -27,10 +34,7 @@ double ViewSelector::TradeoffObjective(const ObjectiveSpec& spec,
 
 Result<SelectionResult> ViewSelector::Solve(const ObjectiveSpec& spec,
                                             std::string_view solver) const {
-  if (spec.scenario == Scenario::kMV3Tradeoff &&
-      (spec.alpha < 0.0 || spec.alpha > 1.0)) {
-    return Status::InvalidArgument("alpha must be within [0, 1]");
-  }
+  CV_RETURN_IF_ERROR(ValidateObjective(spec));
   CV_ASSIGN_OR_RETURN(const Solver* strategy,
                       SolverRegistry::Global().Find(solver));
   if (evaluator_->num_candidates() > strategy->max_candidates()) {

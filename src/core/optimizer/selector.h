@@ -107,6 +107,10 @@ struct ObjectiveSpec {
   const CancelToken* cancel = nullptr;
 };
 
+/// \brief Checks the spec's own range: `alpha` in [0, 1]. Both solve
+/// entry points, ViewSelector::Solve and TemporalPlanner::Run, call it.
+Status ValidateObjective(const ObjectiveSpec& spec);
+
 /// \brief The selected view set and how it scores.
 struct SelectionResult {
   SubsetEvaluation evaluation;

@@ -146,6 +146,7 @@ DeploymentSpec TemporalPlanner::PeriodDeployment(size_t p) const {
 Result<TemporalRunResult> TemporalPlanner::Run(
     const ObjectiveSpec& spec, const ReselectPolicy& policy,
     std::string_view solver_name) const {
+  CV_RETURN_IF_ERROR(ValidateObjective(spec));
   if (policy.kind == ReselectPolicy::Kind::kEveryK &&
       policy.every_k <= 0) {
     return Status::InvalidArgument("every_k must be positive");

@@ -7,6 +7,18 @@
 namespace cloudview {
 
 Result<CloudScenario> CloudScenario::Create(ScenarioConfig config) {
+  if (config.nb_instances < 1 || config.nb_instances > kMaxInstances) {
+    return Status::InvalidArgument(
+        "nb_instances must be in [1, " + std::to_string(kMaxInstances) +
+        "], got " + std::to_string(config.nb_instances));
+  }
+  if (config.storage_period.milli() < 1 ||
+      config.storage_period > kMaxStoragePeriod) {
+    return Status::InvalidArgument(
+        "storage_period must be in [1, " +
+        std::to_string(kMaxStoragePeriod.milli()) + "] milli-months, got " +
+        std::to_string(config.storage_period.milli()));
+  }
   if (config.maintenance_cycles < 0 ||
       config.maintenance_cycles > kMaxMaintenanceCycles) {
     return Status::InvalidArgument(
@@ -39,9 +51,6 @@ Result<CloudScenario> CloudScenario::Create(ScenarioConfig config) {
   CV_ASSIGN_OR_RETURN(
       scenario.cluster_.instance,
       scenario.pricing_->instances().Find(scenario.config_.instance_name));
-  if (scenario.config_.nb_instances <= 0) {
-    return Status::InvalidArgument("nb_instances must be positive");
-  }
   scenario.cluster_.nodes = scenario.config_.nb_instances;
   return scenario;
 }

@@ -49,10 +49,12 @@ struct ScenarioConfig {
       PricingOverrides::ComputeGranularityOnly(BillingGranularity::kSecond);
   /// Rented configuration (paper Section 6: five identical VMs).
   std::string instance_name = "small";
+  /// Create() rejects values outside [1, kMaxInstances].
   int64_t nb_instances = 5;
   /// Storage period. When `prorate_storage` is true the period is derived
   /// from the workload's no-view makespan (experiment-session billing);
-  /// otherwise `storage_period` is used as-is.
+  /// otherwise `storage_period` is used as-is. Create() rejects a
+  /// `storage_period` outside [1 milli-month, kMaxStoragePeriod].
   bool prorate_storage = true;
   Months storage_period = Months::FromMonths(1);
   /// Candidate generation knobs.
@@ -83,6 +85,42 @@ inline constexpr int64_t kMaxMaintenanceCycles = 1'000'000;
 /// bytes. Busy time and every bill have more room. Before the bound, a
 /// line of base-cuboid queries at frequency 6e4 already wrapped it.
 inline constexpr uint64_t kMaxQueryFrequency = 10'000;
+
+/// \brief Upper bound on ScenarioConfig::nb_instances. The binding term
+/// is the compute bill, busy time x hourly rate x instances: every
+/// instance bills the whole busy time, and with many instances each
+/// job's fixed startup (45 s) dominates it. A 1 MiB line of SSB
+/// base-cuboid queries at kMaxQueryFrequency bills ~6.7e12 micro-dollars
+/// per instance on the dearest instance of any sheet (aws-2012 xlarge,
+/// $0.96/h), so at the bound one period bills ~6.7e15 and a timeline of
+/// kMaxTimelinePeriods periods, all spiked by kMaxSpikeFactor, ~3.2e18
+/// of int64's 9.2e18. Before the bound, 1e15 instances wrapped the bill
+/// of a default solve.
+inline constexpr int64_t kMaxInstances = 1'000;
+
+/// \brief Upper bound on ScenarioConfig::storage_period and on a wire
+/// timeline's period length (ten years). Storage bills volume x rate x
+/// months; all SSB cuboids together hold ~110 GB and the dearest sheet
+/// rate is $0.14/GB-month, so even 10^4 stored copies of the whole
+/// lattice bill ~1.8e13 micro-dollars over 120 months, and a
+/// kMaxTimelinePeriods timeline ~2.2e15, far inside int64. Before the
+/// bound, 9e15 months wrapped the storage bill negative.
+inline constexpr Months kMaxStoragePeriod = Months::FromMonths(120);
+
+/// \brief Upper bound on a wire timeline's `num_periods` (ten years of
+/// monthly periods). WorkloadTimeline::Generate builds every period up
+/// front, each a copy of the request's workload, and the planner solves
+/// up to one selection per period, so the count bounds both memory and
+/// the summed bill (see kMaxInstances).
+inline constexpr int64_t kMaxTimelinePeriods = 120;
+
+/// \brief Upper bound on the factor a timeline's seasonal spikes can
+/// raise a frequency by: the product of (1 + amplitude) over its
+/// seasonal-spike drifts, which all fire in one period when their
+/// seasons align. kMaxQueryFrequency leaves the egress volume ~5x room;
+/// a 4x spike keeps ~1.3x of it. Before the bound, an amplitude of 1e15
+/// wrapped the busy time and aborted the server.
+inline constexpr double kMaxSpikeFactor = 4.0;
 
 /// \brief A wired-up deployment; build once, run many workloads.
 class CloudScenario {

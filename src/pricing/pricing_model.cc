@@ -47,17 +47,7 @@ Duration RoundUpToGranularity(Duration busy, BillingGranularity g) {
   return Duration::FromMillis(units * unit_ms);
 }
 
-const char* ToString(BillingGranularity g) {
-  switch (g) {
-    case BillingGranularity::kHour:
-      return "hour";
-    case BillingGranularity::kMinute:
-      return "minute";
-    case BillingGranularity::kSecond:
-      return "second";
-  }
-  return "?";
-}
+const char* ToString(BillingGranularity g) { return NameOf(g); }
 
 const char* ToString(StorageBilling b) {
   switch (b) {

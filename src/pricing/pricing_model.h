@@ -13,6 +13,7 @@
 
 #include "common/data_size.h"
 #include "common/duration.h"
+#include "common/enum_names.h"
 #include "common/money.h"
 #include "common/months.h"
 #include "common/result.h"
@@ -30,6 +31,14 @@ enum class BillingGranularity {
   kHour,
   kMinute,
   kSecond,
+};
+
+template <>
+struct EnumNames<BillingGranularity> {
+  static constexpr EnumName<BillingGranularity> kTable[] = {
+      {"hour", BillingGranularity::kHour},
+      {"minute", BillingGranularity::kMinute},
+      {"second", BillingGranularity::kSecond}};
 };
 
 /// \brief How a storage schedule is applied to a volume.

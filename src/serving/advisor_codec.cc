@@ -1,519 +1,457 @@
 #include "serving/advisor_codec.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
+
+#include "common/enum_names.h"
 
 namespace cloudview {
 
+// Wire names of the enums only the codec names.
+template <>
+struct EnumNames<Scenario> {
+  static constexpr EnumName<Scenario> kTable[] = {
+      {"mv1", Scenario::kMV1BudgetLimit},
+      {"mv2", Scenario::kMV2TimeLimit},
+      {"mv3", Scenario::kMV3Tradeoff}};
+};
+
+template <>
+struct EnumNames<ReselectPolicy::Kind> {
+  static constexpr EnumName<ReselectPolicy::Kind> kTable[] = {
+      {"static", ReselectPolicy::Kind::kStatic},
+      {"every-k", ReselectPolicy::Kind::kEveryK},
+      {"on-drift", ReselectPolicy::Kind::kOnDrift}};
+};
+
 namespace {
 
-// --- Strict field readers ----------------------------------------------
-// Every reader takes the object's wire name for error text; a request
-// with a typo'd or mistyped field fails with the exact path and the
-// accepted form, never a silent default.
+// --- Field tables --------------------------------------------------------
+// Each request struct is described once, by Schema<S>::kFields: one Field
+// per wire key, bound to the member it reads and writes and, for an
+// integer, the range the wire accepts. ReadObject (with its unknown-field
+// message) and WriteObject walk the same list, in list order. A range
+// that core/ enforces is not repeated here (README, "Request ranges").
+//
+// Error messages grow inside out: a reader returns the text after the
+// path (" must be ...", or ".key ..." from a nested object) and each
+// enclosing object prepends its own key.
 
-Status CheckKeys(const JsonValue& obj, std::string_view where,
-                 std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    bool known = false;
-    for (std::string_view a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
+/// Closed range an integer wire value must lie in.
+struct Range {
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+};
+
+template <typename S>
+struct Field {
+  std::string_view key;
+  Status (*read)(const JsonValue& json, const Range& range, S* out);
+  JsonValue (*write)(const S& in);
+  Range range;
+  /// When set and true for `in`, WriteObject leaves the key out.
+  bool (*omit)(const S& in);
+};
+
+template <typename S>
+struct Schema;
+
+template <typename S>
+concept HasSchema = requires { Schema<S>::kFields; };
+
+template <typename S>
+Status ReadObject(const JsonValue& json, S* out);
+template <typename S>
+JsonValue WriteObject(const S& in);
+
+// --- Typed values ----------------------------------------------------------
+
+Status ReadValue(const JsonValue& json, const Range&, std::string* out) {
+  if (!json.is_string()) return Status::InvalidArgument(" must be a string");
+  *out = json.string_value();
+  return Status::OK();
+}
+
+Status ReadValue(const JsonValue& json, const Range&, bool* out) {
+  if (!json.is_bool()) {
+    return Status::InvalidArgument(" must be true or false");
+  }
+  *out = json.bool_value();
+  return Status::OK();
+}
+
+Status ReadValue(const JsonValue& json, const Range&, double* out) {
+  if (!json.is_number()) return Status::InvalidArgument(" must be a number");
+  *out = json.AsDouble();
+  return Status::OK();
+}
+
+// Integer members travel as the int64 their key's unit suffix names
+// (advisor_codec.h). Unsigned members also refuse negatives, and a
+// CuboidId refuses any value it would narrow onto another cuboid.
+int64_t ToWire(int64_t v) { return v; }
+int64_t ToWire(uint64_t v) { return static_cast<int64_t>(v); }
+int64_t ToWire(CuboidId v) { return v; }
+int64_t ToWire(Money v) { return v.micros(); }
+int64_t ToWire(Duration v) { return v.millis(); }
+int64_t ToWire(DataSize v) { return v.bytes(); }
+int64_t ToWire(Months v) { return v.milli(); }
+void FromWire(int64_t w, int64_t* out) { *out = w; }
+void FromWire(int64_t w, uint64_t* out) { *out = static_cast<uint64_t>(w); }
+void FromWire(int64_t w, CuboidId* out) { *out = static_cast<CuboidId>(w); }
+void FromWire(int64_t w, Money* out) { *out = Money::FromMicros(w); }
+void FromWire(int64_t w, Duration* out) { *out = Duration::FromMillis(w); }
+void FromWire(int64_t w, DataSize* out) { *out = DataSize::FromBytes(w); }
+void FromWire(int64_t w, Months* out) { *out = Months::FromMilli(w); }
+Range TypeRange(const void*) { return {}; }
+Range TypeRange(const uint64_t*) { return {.lo = 0}; }
+Range TypeRange(const CuboidId*) {
+  return {.lo = 0, .hi = std::numeric_limits<CuboidId>::max()};
+}
+
+template <typename T>
+concept IntWired = requires(int64_t w, T* out) { FromWire(w, out); };
+
+template <IntWired T>
+Status ReadValue(const JsonValue& json, const Range& range, T* out) {
+  if (!json.is_int()) return Status::InvalidArgument(" must be an integer");
+  const Range type = TypeRange(out);
+  const int64_t lo = std::max(range.lo, type.lo);
+  const int64_t hi = std::min(range.hi, type.hi);
+  const int64_t value = json.int_value();
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(
+        " must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+        "], got " + std::to_string(value));
+  }
+  FromWire(value, out);
+  return Status::OK();
+}
+
+template <typename E>
+std::string NameList() {
+  std::string names;
+  for (const EnumName<E>& entry : EnumNames<E>::kTable) {
+    if (!names.empty()) names += ", ";
+    names += entry.name;
+  }
+  return names;
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+Status ReadValue(const JsonValue& json, const Range&, E* out) {
+  if (!json.is_string()) {
+    return Status::InvalidArgument(" must be one of " + NameList<E>());
+  }
+  for (const EnumName<E>& entry : EnumNames<E>::kTable) {
+    if (json.string_value() == entry.name) {
+      *out = entry.value;
+      return Status::OK();
     }
-    if (!known) {
+  }
+  return Status::InvalidArgument(" \"" + json.string_value() +
+                                 "\" is not one of " + NameList<E>());
+}
+
+template <HasSchema S>
+Status ReadValue(const JsonValue& json, const Range&, S* out) {
+  S value;
+  CV_RETURN_IF_ERROR(ReadObject(json, &value));
+  // An architecture that fails its structural check is refused here, by
+  // path: the arch-sweep solver would skip it without a word.
+  if constexpr (requires { value.Validate(); }) {
+    Status valid = value.Validate();
+    if (!valid.ok()) return Status::InvalidArgument(": " + valid.message());
+  }
+  *out = std::move(value);
+  return Status::OK();
+}
+
+template <typename S>
+Status ReadValue(const JsonValue& json, const Range& range,
+                 std::vector<S>* out) {
+  if (!json.is_array()) return Status::InvalidArgument(" must be an array");
+  std::vector<S> items(json.items().size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    Status status = ReadValue(json.items()[i], range, &items[i]);
+    if (!status.ok()) return Status::InvalidArgument("[i]" + status.message());
+  }
+  *out = std::move(items);
+  return Status::OK();
+}
+
+JsonValue WriteValue(const std::string& v) { return JsonValue::Str(v); }
+JsonValue WriteValue(bool v) { return JsonValue::Bool(v); }
+JsonValue WriteValue(double v) { return JsonValue::Double(v); }
+
+template <IntWired T>
+JsonValue WriteValue(const T& v) {
+  return JsonValue::Int(ToWire(v));
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+JsonValue WriteValue(E v) {
+  return JsonValue::Str(NameOf(v));
+}
+
+template <HasSchema S>
+JsonValue WriteValue(const S& v) {
+  return WriteObject(v);
+}
+
+template <typename S>
+JsonValue WriteValue(const std::vector<S>& items) {
+  JsonValue json = JsonValue::Array();
+  for (const S& item : items) json.Push(WriteValue(item));
+  return json;
+}
+
+// --- Fields and the generic object codec -----------------------------------
+
+template <typename M>
+struct MemberOf;
+template <typename S, typename T>
+struct MemberOf<T S::*> {
+  using Struct = S;
+};
+
+/// The field `key` bound to the member `kMember`.
+template <auto kMember,
+          typename S = typename MemberOf<decltype(kMember)>::Struct>
+constexpr Field<S> Member(
+    std::string_view key, Range range = {},
+    std::type_identity_t<bool (*)(const S&)> omit = nullptr) {
+  return {key,
+          [](const JsonValue& json, const Range& r, S* out) {
+            return ReadValue(json, r, &(out->*kMember));
+          },
+          [](const S& in) { return WriteValue(in.*kMember); }, range, omit};
+}
+
+/// A Member the writer leaves out while it holds nothing: an empty
+/// string or list, or an integer that is not positive.
+template <auto kMember,
+          typename S = typename MemberOf<decltype(kMember)>::Struct>
+constexpr Field<S> OmitEmpty(std::string_view key, Range range = {}) {
+  return Member<kMember>(key, range, [](const S& in) {
+    const auto& value = in.*kMember;
+    if constexpr (std::is_integral_v<std::decay_t<decltype(value)>>) {
+      return value <= 0;
+    } else {
+      return value.empty();
+    }
+  });
+}
+
+template <typename S>
+Status ReadObject(const JsonValue& json, S* out) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument(" must be a JSON object");
+  }
+  const auto& fields = Schema<S>::kFields;
+  for (const auto& [key, value] : json.members()) {
+    if (std::none_of(std::begin(fields), std::end(fields),
+                     [&](const Field<S>& f) { return f.key == key; })) {
       std::string accepted;
-      for (std::string_view a : allowed) {
+      for (const Field<S>& field : fields) {
         if (!accepted.empty()) accepted += ", ";
-        accepted += a;
+        accepted += field.key;
       }
-      return Status::InvalidArgument("unknown field \"" + key + "\" in " +
-                                     std::string(where) +
-                                     "; accepted fields: " + accepted);
+      return Status::InvalidArgument("." + key +
+                                     ": unknown field; accepted fields: " +
+                                     accepted);
+    }
+  }
+  for (const Field<S>& field : fields) {
+    const JsonValue* value = json.Find(field.key);
+    if (value == nullptr) continue;
+    Status status = field.read(*value, field.range, out);
+    if (!status.ok()) {
+      return Status::InvalidArgument("." + std::string(field.key) +
+                                     status.message());
     }
   }
   return Status::OK();
 }
 
-Status RequireObject(const JsonValue& v, std::string_view where) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument(std::string(where) +
-                                   " must be a JSON object");
-  }
-  return Status::OK();
-}
-
-Status ReadString(const JsonValue& obj, std::string_view key,
-                  std::string_view where, std::string* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_string()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) + " must be a string");
-  }
-  *out = v->string_value();
-  return Status::OK();
-}
-
-Status ReadInt(const JsonValue& obj, std::string_view key,
-               std::string_view where, int64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_int()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be an integer");
-  }
-  *out = v->int_value();
-  return Status::OK();
-}
-
-Status ReadUint(const JsonValue& obj, std::string_view key,
-                std::string_view where, uint64_t* out) {
-  int64_t raw = static_cast<int64_t>(*out);
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &raw));
-  if (raw < 0) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be non-negative");
-  }
-  *out = static_cast<uint64_t>(raw);
-  return Status::OK();
-}
-
-Status ReadDouble(const JsonValue& obj, std::string_view key,
-                  std::string_view where, double* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) + " must be a number");
-  }
-  *out = v->AsDouble();
-  return Status::OK();
-}
-
-Status ReadBool(const JsonValue& obj, std::string_view key,
-                std::string_view where, bool* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_bool()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be true or false");
-  }
-  *out = v->bool_value();
-  return Status::OK();
-}
-
-Status ReadMoney(const JsonValue& obj, std::string_view key,
-                 std::string_view where, Money* out) {
-  int64_t micros = out->micros();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &micros));
-  *out = Money::FromMicros(micros);
-  return Status::OK();
-}
-
-Status ReadDuration(const JsonValue& obj, std::string_view key,
-                    std::string_view where, Duration* out) {
-  int64_t ms = out->millis();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &ms));
-  *out = Duration::FromMillis(ms);
-  return Status::OK();
-}
-
-Status ReadDataSize(const JsonValue& obj, std::string_view key,
-                    std::string_view where, DataSize* out) {
-  int64_t bytes = out->bytes();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &bytes));
-  *out = DataSize::FromBytes(bytes);
-  return Status::OK();
-}
-
-Status ReadMonths(const JsonValue& obj, std::string_view key,
-                  std::string_view where, Months* out) {
-  int64_t milli = out->milli();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &milli));
-  *out = Months::FromMilli(milli);
-  return Status::OK();
-}
-
-// --- Architectures -----------------------------------------------------
-
-Result<ArchitectureSpec> ParseArchitecture(const JsonValue& json) {
-  constexpr std::string_view kWhere = "objective.architectures[i]";
-  CV_RETURN_IF_ERROR(RequireObject(json, kWhere));
-  CV_RETURN_IF_ERROR(
-      CheckKeys(json, kWhere, {"name", "durability", "groups"}));
-  ArchitectureSpec spec;
-  CV_RETURN_IF_ERROR(ReadString(json, "name", kWhere, &spec.name));
-  std::string durability = "local";
-  CV_RETURN_IF_ERROR(ReadString(json, "durability", kWhere, &durability));
-  if (durability == "local") {
-    spec.durability = DurabilityTier::kLocal;
-  } else if (durability == "zonal") {
-    spec.durability = DurabilityTier::kZonal;
-  } else if (durability == "regional") {
-    spec.durability = DurabilityTier::kRegional;
-  } else {
-    return Status::InvalidArgument(
-        std::string(kWhere) + ".durability \"" + durability +
-        "\" is not a durability tier; accepted: local, zonal, regional");
-  }
-  const JsonValue* groups = json.Find("groups");
-  if (groups != nullptr) {
-    if (!groups->is_array()) {
-      return Status::InvalidArgument(std::string(kWhere) +
-                                     ".groups must be an array");
-    }
-    for (const JsonValue& g : groups->items()) {
-      constexpr std::string_view kGroupWhere =
-          "objective.architectures[i].groups[j]";
-      CV_RETURN_IF_ERROR(RequireObject(g, kGroupWhere));
-      CV_RETURN_IF_ERROR(CheckKeys(g, kGroupWhere,
-                                   {"name", "replicas", "zones", "plan"}));
-      NodeGroupSpec group;
-      CV_RETURN_IF_ERROR(ReadString(g, "name", kGroupWhere, &group.name));
-      CV_RETURN_IF_ERROR(
-          ReadInt(g, "replicas", kGroupWhere, &group.replicas));
-      CV_RETURN_IF_ERROR(ReadInt(g, "zones", kGroupWhere, &group.zones));
-      std::string plan = "on-demand";
-      CV_RETURN_IF_ERROR(ReadString(g, "plan", kGroupWhere, &plan));
-      if (plan == "on-demand") {
-        group.plan = PurchasePlan::kOnDemand;
-      } else if (plan == "reserved") {
-        group.plan = PurchasePlan::kReserved;
-      } else if (plan == "spot") {
-        group.plan = PurchasePlan::kSpot;
-      } else {
-        return Status::InvalidArgument(
-            std::string(kGroupWhere) + ".plan \"" + plan +
-            "\" is not a purchase plan; accepted: on-demand, reserved, "
-            "spot");
-      }
-      spec.groups.push_back(std::move(group));
-    }
-  }
-  CV_RETURN_IF_ERROR(spec.Validate());
-  return spec;
-}
-
-JsonValue ArchitectureToJson(const ArchitectureSpec& spec) {
+template <typename S>
+JsonValue WriteObject(const S& in) {
   JsonValue json = JsonValue::Object();
-  json.Set("name", JsonValue::Str(spec.name));
-  json.Set("durability", JsonValue::Str(ToString(spec.durability)));
-  if (!spec.groups.empty()) {
-    JsonValue groups = JsonValue::Array();
-    for (const NodeGroupSpec& g : spec.groups) {
-      JsonValue group = JsonValue::Object();
-      group.Set("name", JsonValue::Str(g.name));
-      group.Set("replicas", JsonValue::Int(g.replicas));
-      group.Set("zones", JsonValue::Int(g.zones));
-      group.Set("plan", JsonValue::Str(ToString(g.plan)));
-      groups.Push(std::move(group));
+  for (const Field<S>& field : Schema<S>::kFields) {
+    if (field.omit == nullptr || !field.omit(in)) {
+      json.Set(std::string(field.key), field.write(in));
     }
-    json.Set("groups", std::move(groups));
   }
   return json;
 }
 
-// --- Objective ---------------------------------------------------------
+// --- The request structs ---------------------------------------------------
+// Children before parents: a parent's Member instantiates the child's
+// reader, which needs the child's Schema.
 
-Result<ObjectiveSpec> ParseObjective(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "objective"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "objective",
-      {"scenario", "budget_limit_micros", "time_limit_ms", "alpha",
-       "time_includes_materialization", "mv3_reference_time_ms",
-       "mv3_reference_cost_micros", "max_monthly_cost_micros",
-       "max_storage_bytes", "max_makespan_ms", "frontier_epsilon",
-       "architectures", "architecture_inner_solver"}));
-  ObjectiveSpec spec;
-  std::string scenario = "mv3";
-  CV_RETURN_IF_ERROR(ReadString(json, "scenario", "objective", &scenario));
-  if (scenario == "mv1") {
-    spec.scenario = Scenario::kMV1BudgetLimit;
-  } else if (scenario == "mv2") {
-    spec.scenario = Scenario::kMV2TimeLimit;
-  } else if (scenario == "mv3") {
-    spec.scenario = Scenario::kMV3Tradeoff;
-  } else {
-    return Status::InvalidArgument(
-        "objective.scenario \"" + scenario +
-        "\" is not a scenario; accepted: mv1, mv2, mv3");
-  }
-  CV_RETURN_IF_ERROR(ReadMoney(json, "budget_limit_micros", "objective",
-                               &spec.budget_limit));
-  CV_RETURN_IF_ERROR(
-      ReadDuration(json, "time_limit_ms", "objective", &spec.time_limit));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "alpha", "objective", &spec.alpha));
-  if (spec.alpha < 0.0 || spec.alpha > 1.0) {
-    return Status::InvalidArgument("objective.alpha must be in [0, 1]");
-  }
-  CV_RETURN_IF_ERROR(ReadBool(json, "time_includes_materialization",
-                              "objective",
-                              &spec.time_includes_materialization));
-  CV_RETURN_IF_ERROR(ReadDuration(json, "mv3_reference_time_ms",
-                                  "objective", &spec.mv3_reference_time));
-  CV_RETURN_IF_ERROR(ReadMoney(json, "mv3_reference_cost_micros",
-                               "objective", &spec.mv3_reference_cost));
-  CV_RETURN_IF_ERROR(ReadMoney(json, "max_monthly_cost_micros",
-                               "objective", &spec.max_monthly_cost));
-  CV_RETURN_IF_ERROR(ReadDataSize(json, "max_storage_bytes", "objective",
-                                  &spec.max_storage));
-  CV_RETURN_IF_ERROR(ReadDuration(json, "max_makespan_ms", "objective",
-                                  &spec.max_makespan));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "frontier_epsilon", "objective",
-                                &spec.frontier_epsilon));
-  if (const JsonValue* architectures = json.Find("architectures")) {
-    if (!architectures->is_array()) {
-      return Status::InvalidArgument(
-          "objective.architectures must be an array");
-    }
-    for (const JsonValue& a : architectures->items()) {
-      CV_ASSIGN_OR_RETURN(ArchitectureSpec arch, ParseArchitecture(a));
-      spec.architectures.push_back(std::move(arch));
-    }
-  }
-  CV_RETURN_IF_ERROR(ReadString(json, "architecture_inner_solver",
-                                "objective",
-                                &spec.architecture_inner_solver));
-  return spec;
-}
+template <>
+struct Schema<NodeGroupSpec> {
+  static constexpr Field<NodeGroupSpec> kFields[] = {
+      Member<&NodeGroupSpec::name>("name"),
+      Member<&NodeGroupSpec::replicas>("replicas"),
+      Member<&NodeGroupSpec::zones>("zones"),
+      Member<&NodeGroupSpec::plan>("plan"),
+  };
+};
 
-JsonValue ObjectiveToJson(const ObjectiveSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  const char* scenario = spec.scenario == Scenario::kMV1BudgetLimit ? "mv1"
-                         : spec.scenario == Scenario::kMV2TimeLimit
-                             ? "mv2"
-                             : "mv3";
-  json.Set("scenario", JsonValue::Str(scenario));
-  json.Set("budget_limit_micros",
-           JsonValue::Int(spec.budget_limit.micros()));
-  json.Set("time_limit_ms", JsonValue::Int(spec.time_limit.millis()));
-  json.Set("alpha", JsonValue::Double(spec.alpha));
-  json.Set("time_includes_materialization",
-           JsonValue::Bool(spec.time_includes_materialization));
-  json.Set("mv3_reference_time_ms",
-           JsonValue::Int(spec.mv3_reference_time.millis()));
-  json.Set("mv3_reference_cost_micros",
-           JsonValue::Int(spec.mv3_reference_cost.micros()));
-  json.Set("max_monthly_cost_micros",
-           JsonValue::Int(spec.max_monthly_cost.micros()));
-  json.Set("max_storage_bytes", JsonValue::Int(spec.max_storage.bytes()));
-  json.Set("max_makespan_ms", JsonValue::Int(spec.max_makespan.millis()));
-  json.Set("frontier_epsilon", JsonValue::Double(spec.frontier_epsilon));
-  if (!spec.architectures.empty()) {
-    JsonValue architectures = JsonValue::Array();
-    for (const ArchitectureSpec& a : spec.architectures) {
-      architectures.Push(ArchitectureToJson(a));
-    }
-    json.Set("architectures", std::move(architectures));
-  }
-  if (!spec.architecture_inner_solver.empty()) {
-    json.Set("architecture_inner_solver",
-             JsonValue::Str(spec.architecture_inner_solver));
-  }
-  return json;
-}
+template <>
+struct Schema<ArchitectureSpec> {
+  static constexpr Field<ArchitectureSpec> kFields[] = {
+      Member<&ArchitectureSpec::name>("name"),
+      Member<&ArchitectureSpec::durability>("durability"),
+      OmitEmpty<&ArchitectureSpec::groups>("groups"),
+  };
+};
 
-// --- Workload / timeline / policy --------------------------------------
+template <>
+struct Schema<ObjectiveSpec> {
+  static constexpr Field<ObjectiveSpec> kFields[] = {
+      Member<&ObjectiveSpec::scenario>("scenario"),
+      Member<&ObjectiveSpec::budget_limit>("budget_limit_micros"),
+      Member<&ObjectiveSpec::time_limit>("time_limit_ms"),
+      Member<&ObjectiveSpec::alpha>("alpha"),
+      Member<&ObjectiveSpec::time_includes_materialization>(
+          "time_includes_materialization"),
+      Member<&ObjectiveSpec::mv3_reference_time>("mv3_reference_time_ms"),
+      Member<&ObjectiveSpec::mv3_reference_cost>(
+          "mv3_reference_cost_micros"),
+      Member<&ObjectiveSpec::max_monthly_cost>("max_monthly_cost_micros"),
+      Member<&ObjectiveSpec::max_storage>("max_storage_bytes"),
+      Member<&ObjectiveSpec::max_makespan>("max_makespan_ms"),
+      Member<&ObjectiveSpec::frontier_epsilon>("frontier_epsilon"),
+      OmitEmpty<&ObjectiveSpec::architectures>("architectures"),
+      OmitEmpty<&ObjectiveSpec::architecture_inner_solver>(
+          "architecture_inner_solver"),
+  };
+};
 
-Result<WorkloadSpec> ParseWorkloadSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "workload"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "workload", {"kind", "queries"}));
-  WorkloadSpec spec;
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", "workload", &spec.kind));
-  if (spec.kind != "default" && spec.kind != "queries") {
-    return Status::InvalidArgument("workload.kind \"" + spec.kind +
-                                   "\" is not a workload kind; accepted: "
-                                   "default, queries");
-  }
-  const JsonValue* queries = json.Find("queries");
-  if (queries != nullptr) {
-    if (!queries->is_array()) {
-      return Status::InvalidArgument("workload.queries must be an array");
-    }
-    for (const JsonValue& q : queries->items()) {
-      CV_RETURN_IF_ERROR(RequireObject(q, "workload.queries[i]"));
-      CV_RETURN_IF_ERROR(CheckKeys(q, "workload.queries[i]",
-                                   {"name", "target", "frequency"}));
-      QuerySpec query;
-      CV_RETURN_IF_ERROR(
-          ReadString(q, "name", "workload.queries[i]", &query.name));
-      int64_t target = 0;
-      CV_RETURN_IF_ERROR(
-          ReadInt(q, "target", "workload.queries[i]", &target));
-      // Range-check before narrowing to CuboidId, so a large value can
-      // never wrap onto another cuboid.
-      constexpr int64_t kMaxTarget = std::numeric_limits<CuboidId>::max();
-      if (target < 0 || target > kMaxTarget) {
-        return Status::InvalidArgument(
-            "workload.queries[i].target must be in [0, " +
-            std::to_string(kMaxTarget) + "], got " + std::to_string(target));
-      }
-      query.target = static_cast<CuboidId>(target);
-      CV_RETURN_IF_ERROR(ReadUint(q, "frequency", "workload.queries[i]",
-                                  &query.frequency));
-      spec.queries.push_back(std::move(query));
-    }
-  }
-  return spec;
-}
+template <>
+struct Schema<QuerySpec> {
+  static constexpr Field<QuerySpec> kFields[] = {
+      Member<&QuerySpec::name>("name"),
+      Member<&QuerySpec::target>("target"),
+      Member<&QuerySpec::frequency>("frequency"),
+  };
+};
 
-JsonValue WorkloadSpecToJson(const WorkloadSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(spec.kind));
-  if (!spec.queries.empty()) {
-    JsonValue queries = JsonValue::Array();
-    for (const QuerySpec& q : spec.queries) {
-      JsonValue query = JsonValue::Object();
-      query.Set("name", JsonValue::Str(q.name));
-      query.Set("target", JsonValue::Int(static_cast<int64_t>(q.target)));
-      query.Set("frequency",
-                JsonValue::Int(static_cast<int64_t>(q.frequency)));
-      queries.Push(std::move(query));
-    }
-    json.Set("queries", std::move(queries));
-  }
-  return json;
-}
+template <>
+struct Schema<WorkloadSpec> {
+  static constexpr Field<WorkloadSpec> kFields[] = {
+      Member<&WorkloadSpec::kind>("kind"),
+      OmitEmpty<&WorkloadSpec::queries>("queries"),
+  };
+};
 
-Result<DriftSpec> ParseDriftSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "timeline.drifts[i]"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "timeline.drifts[i]",
-      {"kind", "factor", "floor", "season_length", "phase", "amplitude",
-       "rate", "cuboid_skew", "growth_per_period"}));
-  DriftSpec spec;
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "kind", "timeline.drifts[i]", &spec.kind));
-  if (spec.kind.empty()) {
-    return Status::InvalidArgument(
-        "timeline.drifts[i].kind is required; accepted: frequency-decay, "
-        "seasonal-spike, query-churn, dataset-growth");
-  }
-  CV_RETURN_IF_ERROR(
-      ReadDouble(json, "factor", "timeline.drifts[i]", &spec.factor));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "floor", "timeline.drifts[i]", &spec.floor));
-  CV_RETURN_IF_ERROR(ReadInt(json, "season_length", "timeline.drifts[i]",
-                             &spec.season_length));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "phase", "timeline.drifts[i]", &spec.phase));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "amplitude", "timeline.drifts[i]",
-                                &spec.amplitude));
-  CV_RETURN_IF_ERROR(
-      ReadDouble(json, "rate", "timeline.drifts[i]", &spec.rate));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "cuboid_skew", "timeline.drifts[i]",
-                                &spec.cuboid_skew));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "growth_per_period",
-                                "timeline.drifts[i]",
-                                &spec.growth_per_period));
-  return spec;
-}
+template <>
+struct Schema<DriftSpec> {
+  static constexpr Field<DriftSpec> kFields[] = {
+      Member<&DriftSpec::kind>("kind"),
+      Member<&DriftSpec::factor>("factor"),
+      Member<&DriftSpec::floor>("floor"),
+      Member<&DriftSpec::season_length>("season_length"),
+      Member<&DriftSpec::phase>("phase"),
+      Member<&DriftSpec::amplitude>("amplitude"),
+      Member<&DriftSpec::rate>("rate"),
+      Member<&DriftSpec::cuboid_skew>("cuboid_skew"),
+      Member<&DriftSpec::growth_per_period>("growth_per_period"),
+  };
+};
 
-JsonValue DriftSpecToJson(const DriftSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(spec.kind));
-  json.Set("factor", JsonValue::Double(spec.factor));
-  json.Set("floor", JsonValue::Int(spec.floor));
-  json.Set("season_length", JsonValue::Int(spec.season_length));
-  json.Set("phase", JsonValue::Int(spec.phase));
-  json.Set("amplitude", JsonValue::Double(spec.amplitude));
-  json.Set("rate", JsonValue::Double(spec.rate));
-  json.Set("cuboid_skew", JsonValue::Double(spec.cuboid_skew));
-  json.Set("growth_per_period", JsonValue::Double(spec.growth_per_period));
-  return json;
-}
+template <>
+struct Schema<TimelineSpec> {
+  static constexpr Field<TimelineSpec> kFields[] = {
+      Member<&TimelineSpec::num_periods>("num_periods"),
+      Member<&TimelineSpec::period_length>("period_length_milli_months"),
+      Member<&TimelineSpec::seed>("seed"),
+      OmitEmpty<&TimelineSpec::drifts>("drifts"),
+  };
+};
 
-Result<TimelineSpec> ParseTimelineSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "timeline"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "timeline",
-                               {"num_periods", "period_length_milli_months",
-                                "seed", "drifts"}));
-  TimelineSpec spec;
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "num_periods", "timeline", &spec.num_periods));
-  CV_RETURN_IF_ERROR(ReadMonths(json, "period_length_milli_months",
-                                "timeline", &spec.period_length));
-  CV_RETURN_IF_ERROR(ReadUint(json, "seed", "timeline", &spec.seed));
-  const JsonValue* drifts = json.Find("drifts");
-  if (drifts != nullptr) {
-    if (!drifts->is_array()) {
-      return Status::InvalidArgument("timeline.drifts must be an array");
-    }
-    for (const JsonValue& d : drifts->items()) {
-      CV_ASSIGN_OR_RETURN(DriftSpec drift, ParseDriftSpec(d));
-      spec.drifts.push_back(std::move(drift));
-    }
-  }
-  return spec;
-}
+// `k` and `threshold` belong to one kind each; the writer emits only the
+// current kind's.
+template <>
+struct Schema<ReselectPolicy> {
+  using Kind = ReselectPolicy::Kind;
+  static constexpr Field<ReselectPolicy> kFields[] = {
+      Member<&ReselectPolicy::kind>("kind"),
+      Member<&ReselectPolicy::every_k>(
+          "k", {},
+          [](const ReselectPolicy& p) { return p.kind != Kind::kEveryK; }),
+      Member<&ReselectPolicy::drift_threshold>(
+          "threshold", {},
+          [](const ReselectPolicy& p) { return p.kind != Kind::kOnDrift; }),
+  };
+};
 
-JsonValue TimelineSpecToJson(const TimelineSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("num_periods", JsonValue::Int(spec.num_periods));
-  json.Set("period_length_milli_months",
-           JsonValue::Int(spec.period_length.milli()));
-  json.Set("seed", JsonValue::Int(static_cast<int64_t>(spec.seed)));
-  if (!spec.drifts.empty()) {
-    JsonValue drifts = JsonValue::Array();
-    for (const DriftSpec& d : spec.drifts) drifts.Push(DriftSpecToJson(d));
-    json.Set("drifts", std::move(drifts));
-  }
-  return json;
-}
+// The writer emits the timeline and policy members only for the kinds
+// that read them.
+template <>
+struct Schema<AdvisorRequest> {
+  using Kind = AdvisorRequestKind;
+  static constexpr Field<AdvisorRequest> kFields[] = {
+      Member<&AdvisorRequest::kind>("kind"),
+      OmitEmpty<&AdvisorRequest::session>("session"),
+      OmitEmpty<&AdvisorRequest::solver>("solver"),
+      Member<&AdvisorRequest::objective>("objective"),
+      Member<&AdvisorRequest::workload>("workload"),
+      Member<&AdvisorRequest::timeline>(
+          "timeline", {},
+          [](const AdvisorRequest& r) {
+            return r.kind != Kind::kTimeline &&
+                   r.kind != Kind::kComparePolicies;
+          }),
+      Member<&AdvisorRequest::policy>(
+          "policy", {},
+          [](const AdvisorRequest& r) { return r.kind != Kind::kTimeline; }),
+      Member<&AdvisorRequest::policies>(
+          "policies", {},
+          [](const AdvisorRequest& r) {
+            return r.kind != Kind::kComparePolicies;
+          }),
+      OmitEmpty<&AdvisorRequest::deadline_ms>("deadline_ms", {.lo = 0}),
+  };
+};
 
-Result<ReselectPolicy> ParsePolicy(const JsonValue& json,
-                                   std::string_view where) {
-  CV_RETURN_IF_ERROR(RequireObject(json, where));
-  CV_RETURN_IF_ERROR(CheckKeys(json, where, {"kind", "k", "threshold"}));
-  std::string kind = "static";
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", where, &kind));
-  if (kind == "static") return ReselectPolicy::Static();
-  if (kind == "every-k") {
-    int64_t k = 1;
-    CV_RETURN_IF_ERROR(ReadInt(json, "k", where, &k));
-    if (k <= 0) {
-      return Status::InvalidArgument(std::string(where) +
-                                     ".k must be positive");
-    }
-    return ReselectPolicy::EveryK(k);
-  }
-  if (kind == "on-drift") {
-    double threshold = 0.2;
-    CV_RETURN_IF_ERROR(ReadDouble(json, "threshold", where, &threshold));
-    if (threshold < 0.0 || threshold > 1.0) {
-      return Status::InvalidArgument(std::string(where) +
-                                     ".threshold must be in [0, 1]");
-    }
-    return ReselectPolicy::OnDrift(threshold);
-  }
-  return Status::InvalidArgument(
-      std::string(where) + ".kind \"" + kind +
-      "\" is not a policy; accepted: static, every-k, on-drift");
-}
+template <>
+struct Schema<CandidateGenOptions> {
+  static constexpr Field<CandidateGenOptions> kFields[] = {
+      Member<&CandidateGenOptions::max_candidates>("max_candidates"),
+      Member<&CandidateGenOptions::max_size_fraction>("max_size_fraction"),
+      Member<&CandidateGenOptions::max_rows_fraction>("max_rows_fraction"),
+      Member<&CandidateGenOptions::maintenance_delta>(
+          "maintenance_delta_bytes"),
+      Member<&CandidateGenOptions::queries_only>("queries_only"),
+  };
+};
 
-JsonValue PolicyToJson(const ReselectPolicy& policy) {
-  JsonValue json = JsonValue::Object();
-  switch (policy.kind) {
-    case ReselectPolicy::Kind::kStatic:
-      json.Set("kind", JsonValue::Str("static"));
-      break;
-    case ReselectPolicy::Kind::kEveryK:
-      json.Set("kind", JsonValue::Str("every-k"));
-      json.Set("k", JsonValue::Int(policy.every_k));
-      break;
-    case ReselectPolicy::Kind::kOnDrift:
-      json.Set("kind", JsonValue::Str("on-drift"));
-      json.Set("threshold", JsonValue::Double(policy.drift_threshold));
-      break;
-  }
-  return json;
-}
+template <>
+struct Schema<ScenarioConfig> {
+  static constexpr Field<ScenarioConfig> kFields[] = {
+      Member<&ScenarioConfig::schema>("schema"),
+      Member<&ScenarioConfig::provider>("provider"),
+      Member<&ScenarioConfig::instance_name>("instance_name"),
+      Member<&ScenarioConfig::nb_instances>("nb_instances"),
+      Member<&ScenarioConfig::maintenance_cycles>("maintenance_cycles"),
+      Member<&ScenarioConfig::prorate_storage>("prorate_storage"),
+      Member<&ScenarioConfig::storage_period>("storage_period_milli_months"),
+      Member<&ScenarioConfig::single_compute_session>(
+          "single_compute_session"),
+      Member<&ScenarioConfig::frontier_solver>("frontier_solver"),
+      Member<&ScenarioConfig::candidates>("candidates"),
+  };
+};
 
 // --- Response payloads -------------------------------------------------
 
@@ -632,7 +570,7 @@ JsonValue JointRunToJson(const JointRun& run) {
 
 JsonValue TimelineRunToJson(const TimelineRun& run) {
   JsonValue json = JsonValue::Object();
-  json.Set("policy", PolicyToJson(run.policy));
+  json.Set("policy", WriteObject(run.policy));
   json.Set("policy_name", JsonValue::Str(run.policy.Name()));
   json.Set("solver", JsonValue::Str(run.solver));
   JsonValue ledger = JsonValue::Array();
@@ -660,23 +598,11 @@ JsonValue TimelineRunToJson(const TimelineRun& run) {
   return json;
 }
 
-const char* GranularityName(BillingGranularity granularity) {
-  switch (granularity) {
-    case BillingGranularity::kHour:
-      return "hour";
-    case BillingGranularity::kMinute:
-      return "minute";
-    case BillingGranularity::kSecond:
-      return "second";
-  }
-  return "unknown";
-}
-
 JsonValue ProviderRowToJson(const ProviderComparisonRow& row) {
   JsonValue json = JsonValue::Object();
   json.Set("provider", JsonValue::Str(row.provider));
   json.Set("instance", JsonValue::Str(row.instance));
-  json.Set("granularity", JsonValue::Str(GranularityName(row.granularity)));
+  json.Set("granularity", JsonValue::Str(NameOf(row.granularity)));
   json.Set("run", SolveRunToJson(row.run));
   return json;
 }
@@ -700,134 +626,23 @@ JsonValue MetaToJson(const ResponseMeta& meta) {
 }  // namespace
 
 Result<ScenarioConfig> ParseScenarioConfig(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "config"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "config",
-      {"schema", "provider", "instance_name", "nb_instances",
-       "maintenance_cycles", "prorate_storage",
-       "storage_period_milli_months", "single_compute_session",
-       "frontier_solver", "candidates"}));
   ScenarioConfig config;
-  CV_RETURN_IF_ERROR(ReadString(json, "schema", "config", &config.schema));
-  if (config.schema != "sales" && config.schema != "ssb") {
-    return Status::InvalidArgument(
-        "config.schema must be \"sales\" or \"ssb\", got \"" +
-        config.schema + "\"");
-  }
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "provider", "config", &config.provider));
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "instance_name", "config", &config.instance_name));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "nb_instances", "config", &config.nb_instances));
-  if (config.nb_instances <= 0) {
-    return Status::InvalidArgument("config.nb_instances must be > 0");
-  }
-  CV_RETURN_IF_ERROR(ReadInt(json, "maintenance_cycles", "config",
-                             &config.maintenance_cycles));
-  CV_RETURN_IF_ERROR(ReadBool(json, "prorate_storage", "config",
-                              &config.prorate_storage));
-  CV_RETURN_IF_ERROR(ReadMonths(json, "storage_period_milli_months",
-                                "config", &config.storage_period));
-  CV_RETURN_IF_ERROR(ReadBool(json, "single_compute_session", "config",
-                              &config.single_compute_session));
-  CV_RETURN_IF_ERROR(ReadString(json, "frontier_solver", "config",
-                                &config.frontier_solver));
-  if (const JsonValue* candidates = json.Find("candidates")) {
-    CV_RETURN_IF_ERROR(RequireObject(*candidates, "config.candidates"));
-    CV_RETURN_IF_ERROR(CheckKeys(*candidates, "config.candidates",
-                                 {"max_candidates", "max_size_fraction",
-                                  "max_rows_fraction",
-                                  "maintenance_delta_bytes",
-                                  "queries_only"}));
-    uint64_t max_candidates = config.candidates.max_candidates;
-    CV_RETURN_IF_ERROR(ReadUint(*candidates, "max_candidates",
-                                "config.candidates", &max_candidates));
-    if (max_candidates == 0) {
-      return Status::InvalidArgument(
-          "config.candidates.max_candidates must be > 0");
-    }
-    config.candidates.max_candidates =
-        static_cast<size_t>(max_candidates);
-    CV_RETURN_IF_ERROR(ReadDouble(*candidates, "max_size_fraction",
-                                  "config.candidates",
-                                  &config.candidates.max_size_fraction));
-    CV_RETURN_IF_ERROR(ReadDouble(*candidates, "max_rows_fraction",
-                                  "config.candidates",
-                                  &config.candidates.max_rows_fraction));
-    CV_RETURN_IF_ERROR(
-        ReadDataSize(*candidates, "maintenance_delta_bytes",
-                     "config.candidates",
-                     &config.candidates.maintenance_delta));
-    CV_RETURN_IF_ERROR(ReadBool(*candidates, "queries_only",
-                                "config.candidates",
-                                &config.candidates.queries_only));
+  Status status = ReadObject(json, &config);
+  if (!status.ok()) {
+    return Status::InvalidArgument("config" + status.message());
   }
   return config;
 }
 
-Result<AdvisorRequestKind> ParseAdvisorRequestKind(std::string_view name) {
-  if (name == "solve") return AdvisorRequestKind::kSolve;
-  if (name == "frontier") return AdvisorRequestKind::kFrontier;
-  if (name == "timeline") return AdvisorRequestKind::kTimeline;
-  if (name == "compare-providers") {
-    return AdvisorRequestKind::kCompareProviders;
-  }
-  if (name == "compare-policies") {
-    return AdvisorRequestKind::kComparePolicies;
-  }
-  if (name == "solve-joint") return AdvisorRequestKind::kSolveJoint;
-  return Status::InvalidArgument(
-      "\"" + std::string(name) +
-      "\" is not a request kind; accepted: solve, frontier, timeline, "
-      "compare-providers, compare-policies, solve-joint");
-}
-
 Result<AdvisorRequest> ParseAdvisorRequest(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "request"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "request",
-                               {"kind", "session", "solver", "objective",
-                                "workload", "timeline", "policy",
-                                "policies", "deadline_ms"}));
   AdvisorRequest request;
-  std::string kind;
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", "request", &kind));
-  if (kind.empty()) {
-    return Status::InvalidArgument(
-        "request.kind is required; accepted: solve, frontier, timeline, "
-        "compare-providers, compare-policies, solve-joint");
+  Status status = ReadObject(json, &request);
+  if (!status.ok()) {
+    return Status::InvalidArgument("request" + status.message());
   }
-  CV_ASSIGN_OR_RETURN(request.kind, ParseAdvisorRequestKind(kind));
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "session", "request", &request.session));
-  CV_RETURN_IF_ERROR(ReadString(json, "solver", "request", &request.solver));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "deadline_ms", "request", &request.deadline_ms));
-  if (request.deadline_ms < 0) {
-    return Status::InvalidArgument("request.deadline_ms must be >= 0");
-  }
-  if (const JsonValue* objective = json.Find("objective")) {
-    CV_ASSIGN_OR_RETURN(request.objective, ParseObjective(*objective));
-  }
-  if (const JsonValue* workload = json.Find("workload")) {
-    CV_ASSIGN_OR_RETURN(request.workload, ParseWorkloadSpec(*workload));
-  }
-  if (const JsonValue* timeline = json.Find("timeline")) {
-    CV_ASSIGN_OR_RETURN(request.timeline, ParseTimelineSpec(*timeline));
-  }
-  if (const JsonValue* policy = json.Find("policy")) {
-    CV_ASSIGN_OR_RETURN(request.policy,
-                        ParsePolicy(*policy, "request.policy"));
-  }
-  if (const JsonValue* policies = json.Find("policies")) {
-    if (!policies->is_array()) {
-      return Status::InvalidArgument("request.policies must be an array");
-    }
-    for (const JsonValue& p : policies->items()) {
-      CV_ASSIGN_OR_RETURN(ReselectPolicy policy,
-                          ParsePolicy(p, "request.policies[i]"));
-      request.policies.push_back(policy);
-    }
+  if (json.Find("kind") == nullptr) {
+    return Status::InvalidArgument("request.kind is required; accepted: " +
+                                   NameList<AdvisorRequestKind>());
   }
   return request;
 }
@@ -838,34 +653,7 @@ Result<AdvisorRequest> ParseAdvisorRequestText(std::string_view text) {
 }
 
 JsonValue AdvisorRequestToJson(const AdvisorRequest& request) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(AdvisorRequestKindName(request.kind)));
-  if (!request.session.empty()) {
-    json.Set("session", JsonValue::Str(request.session));
-  }
-  if (!request.solver.empty()) {
-    json.Set("solver", JsonValue::Str(request.solver));
-  }
-  json.Set("objective", ObjectiveToJson(request.objective));
-  json.Set("workload", WorkloadSpecToJson(request.workload));
-  if (request.kind == AdvisorRequestKind::kTimeline ||
-      request.kind == AdvisorRequestKind::kComparePolicies) {
-    json.Set("timeline", TimelineSpecToJson(request.timeline));
-  }
-  if (request.kind == AdvisorRequestKind::kTimeline) {
-    json.Set("policy", PolicyToJson(request.policy));
-  }
-  if (request.kind == AdvisorRequestKind::kComparePolicies) {
-    JsonValue policies = JsonValue::Array();
-    for (const ReselectPolicy& p : request.policies) {
-      policies.Push(PolicyToJson(p));
-    }
-    json.Set("policies", std::move(policies));
-  }
-  if (request.deadline_ms > 0) {
-    json.Set("deadline_ms", JsonValue::Int(request.deadline_ms));
-  }
-  return json;
+  return WriteObject(request);
 }
 
 JsonValue AdvisorResponseToJson(const AdvisorResponse& response) {

@@ -6,10 +6,12 @@
 //     Months as `*_milli_months`. Doubles are reserved for genuinely
 //     real-valued knobs (alpha, drift rates, gap fractions), so every
 //     monetary/temporal quantity round-trips bit-exactly.
-//   - Requests are strict: unknown keys, wrong types, and out-of-range
-//     values are InvalidArgument naming the offending field and the
-//     accepted values — a typo'd knob must not silently fall back to a
-//     default.
+//   - Requests are strict: unknown keys, wrong types, unknown enum
+//     names and values the member's type cannot hold are
+//     InvalidArgument naming the field's path and the accepted values,
+//     so a typo'd knob never falls back to a default. Value ranges are
+//     checked once, mostly in core/ when the request runs (README,
+//     "Request ranges").
 //   - Responses serialize the payload selected by the response kind
 //     plus the shared `meta` block; WriteJson output is deterministic
 //     (insertion-ordered members).
@@ -48,10 +50,5 @@ JsonValue AdvisorResponseToJson(const AdvisorResponse& response);
 /// like ParseAdvisorRequest; fields absent from the JSON keep the
 /// ScenarioConfig defaults.
 Result<ScenarioConfig> ParseScenarioConfig(const JsonValue& json);
-
-/// \brief Parses "solve" / "frontier" / "timeline" /
-/// "compare-providers" / "compare-policies" / "solve-joint" (the
-/// AdvisorRequestKindName strings).
-Result<AdvisorRequestKind> ParseAdvisorRequestKind(std::string_view name);
 
 }  // namespace cloudview

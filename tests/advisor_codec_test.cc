@@ -133,12 +133,34 @@ TEST(AdvisorCodec, BadKindListsAccepted) {
 }
 
 TEST(AdvisorCodec, OutOfRangeValuesRejected) {
-  ExpectRejected(R"({"kind":"solve","objective":{"alpha":1.5}})");
   ExpectRejected(R"({"kind":"solve","deadline_ms":-1})");
   ExpectRejected(
       R"({"kind":"solve","workload":{"kind":"queries",)"
       R"("queries":[{"target":-2}]}})");
-  ExpectRejected(R"({"kind":"timeline","policy":{"kind":"every-k","k":0}})");
+  ExpectRejected(
+      R"({"kind":"solve","workload":{"kind":"queries",)"
+      R"("queries":[{"frequency":-1}]}})");
+}
+
+// Each range is checked in one place. The ones core/ owns (README,
+// "Request ranges") parse, and the scenario refuses the request when it
+// runs.
+TEST(AdvisorCodec, CoreOwnedRangesRefusedWhenRun) {
+  CloudScenario scenario = CloudScenario::Create({}).MoveValue();
+  for (const char* text :
+       {R"({"kind":"solve","objective":{"alpha":1.5}})",
+        R"({"kind":"solve","objective":{"scenario":"mv1","alpha":-0.5}})",
+        R"({"kind":"timeline","objective":{"alpha":1.5},)"
+        R"("timeline":{"num_periods":2}})",
+        R"({"kind":"timeline","timeline":{"num_periods":2},)"
+        R"("policy":{"kind":"every-k","k":0}})",
+        R"({"kind":"solve","workload":{"kind":"nope"}})"}) {
+    SCOPED_TRACE(text);
+    Result<AdvisorRequest> parsed = ParseAdvisorRequestText(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    Status run = scenario.Dispatch(parsed.value()).status();
+    EXPECT_TRUE(run.IsInvalidArgument()) << run;
+  }
 }
 
 // A target above the CuboidId range used to be narrowed to uint32 before
@@ -164,7 +186,8 @@ TEST(AdvisorCodec, TargetAboveCuboidIdRangeRejected) {
 TEST(AdvisorCodec, WrongTypesRejected) {
   ExpectRejected(R"({"kind":"solve","deadline_ms":"fast"})");
   ExpectRejected(R"({"kind":"solve","objective":[1]})");
-  ExpectRejected(R"({"kind":"solve","workload":{"kind":"nope"}})");
+  ExpectRejected(R"({"kind":"solve","workload":{"queries":{}}})");
+  ExpectRejected(R"({"kind":"solve","objective":{"scenario":3}})");
 }
 
 TEST(AdvisorCodec, ScenarioConfigParses) {
@@ -186,14 +209,27 @@ TEST(AdvisorCodec, ScenarioConfigParses) {
 
 TEST(AdvisorCodec, ScenarioConfigRejectsBadValues) {
   for (const char* text :
-       {R"({"schema":"tpch"})", R"({"nb_instances":0})",
-        R"({"candidates":{"max_candidates":0}})",
-        R"({"pricing":"shim"})"}) {
+       {R"({"pricing":"shim"})", R"({"nb_instances":"5"})",
+        R"({"candidates":{"max_candidates":-1}})", R"({"candidates":[]})"}) {
     Result<JsonValue> json = ParseJson(text);
     ASSERT_TRUE(json.ok()) << json.status();
     Result<ScenarioConfig> config = ParseScenarioConfig(json.value());
     EXPECT_FALSE(config.ok()) << "accepted: " << text;
     EXPECT_TRUE(config.status().IsInvalidArgument());
+  }
+  // The scenario owns these ranges: the config parses, and the scenario
+  // refuses it when created or, for candidate knobs, at its first solve.
+  for (const char* text :
+       {R"({"schema":"tpch"})", R"({"nb_instances":0})",
+        R"({"candidates":{"max_candidates":0}})"}) {
+    SCOPED_TRACE(text);
+    Result<ScenarioConfig> config =
+        ParseScenarioConfig(ParseJson(text).value());
+    ASSERT_TRUE(config.ok()) << config.status();
+    Result<CloudScenario> scenario = CloudScenario::Create(config.value());
+    Status status = scenario.ok() ? scenario->Dispatch({}).status()
+                                  : scenario.status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
   }
 }
 

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "serving/advisor_codec.h"
 #include "serving/advisor_service.h"
@@ -225,6 +227,148 @@ TEST(SessionManager, QueryFrequencyBoundedOnTheWire) {
   const SolveRun& solve = served.response.solve;
   ExpectNonNegativeRows(solve.baseline.cost);
   ExpectNonNegativeRows(solve.selection.evaluation.cost);
+
+  // The service kept serving through the refusals.
+  EXPECT_TRUE(service->Serve(AdvisorRequest{}).status.ok());
+}
+
+
+Status CreateSession(AdvisorService& service, const std::string& name,
+                     const std::string& config_json) {
+  Result<ScenarioConfig> config =
+      ParseScenarioConfig(ParseJson(config_json).value());
+  if (!config.ok()) return config.status();
+  return service.sessions().Create(name, config.MoveValue()).status();
+}
+
+ServeOutcome ServeText(AdvisorService& service, const std::string& text) {
+  Result<AdvisorRequest> request = ParseAdvisorRequestText(text);
+  EXPECT_TRUE(request.ok()) << request.status();
+  return service.Serve(request.value());
+}
+
+// The largest wire workload: as many SSB base-cuboid queries at
+// kMaxQueryFrequency as fit in the server's 1 MiB line cap.
+constexpr size_t kAtCapQueryCount = (size_t{1} << 20) / 19;
+std::string AtCapWorkload() {
+  std::string text = R"({"kind":"queries","queries":[)";
+  for (size_t i = 0; i < kAtCapQueryCount; ++i) {
+    if (i > 0) text += ",";
+    text += R"({"frequency":)" + std::to_string(kMaxQueryFrequency) + "}";
+  }
+  return text + "]}";
+}
+
+// Regression: nb_instances had no upper bound (1e15 instances billed a
+// wrapped 1.05e18 micro-dollars with ok=true), and a fixed storage
+// period of 9e15 months billed storage negative on sales and aborted the
+// first SSB solve. Both are refused by name when the session is created;
+// at the bounds the largest wire workload bills every row non-negative.
+TEST(SessionManager, InstancesAndStoragePeriodBoundedOnTheWire) {
+  std::unique_ptr<AdvisorService> service =
+      AdvisorService::Create({}).MoveValue();
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {R"({"nb_instances":1000000000000000})", "nb_instances"},
+      {R"({"nb_instances":)" + std::to_string(kMaxInstances + 1) + "}",
+       "nb_instances"},
+      {R"({"schema":"ssb","prorate_storage":false,)"
+       R"("storage_period_milli_months":9000000000000000000})",
+       "storage_period"},
+      {R"({"storage_period_milli_months":0})", "storage_period"},
+  };
+  for (const auto& [config, field] : refused) {
+    SCOPED_TRACE(config);
+    Status created = CreateSession(*service, "s", config);
+    EXPECT_TRUE(created.IsInvalidArgument()) << created;
+    EXPECT_NE(created.message().find(field), std::string::npos) << created;
+  }
+
+  // The dearest instance of any sheet (aws-2012 xlarge, $0.96/h), at
+  // kMaxInstances. Every instance bills each query run's 45 s startup,
+  // $0.012, so the processing bill has a floor a wrapped one would miss.
+  ASSERT_TRUE(CreateSession(*service, "wide",
+                            R"({"schema":"ssb","instance_name":"xlarge",)"
+                            R"("nb_instances":)" +
+                                std::to_string(kMaxInstances) + "}")
+                  .ok());
+  ServeOutcome wide = ServeText(
+      *service, R"({"kind":"solve","session":"wide","workload":)" +
+                    AtCapWorkload() + "}");
+  ASSERT_TRUE(wide.status.ok()) << wide.status;
+  const SolveRun& solve = wide.response.solve;
+  ExpectNonNegativeRows(solve.baseline.cost);
+  ExpectNonNegativeRows(solve.selection.evaluation.cost);
+  const int64_t runs =
+      static_cast<int64_t>(kAtCapQueryCount * kMaxQueryFrequency);
+  EXPECT_GE(solve.baseline.cost.processing,
+            Money::FromMicros(runs * 12'000 * kMaxInstances));
+
+  ASSERT_TRUE(CreateSession(*service, "long",
+                            R"({"schema":"ssb","prorate_storage":false,)"
+                            R"("storage_period_milli_months":)" +
+                                std::to_string(kMaxStoragePeriod.milli()) +
+                                "}")
+                  .ok());
+  ServeOutcome longest =
+      ServeText(*service, R"({"kind":"solve","session":"long"})");
+  ASSERT_TRUE(longest.status.ok()) << longest.status;
+  ExpectNonNegativeRows(longest.response.solve.baseline.cost);
+  ExpectNonNegativeRows(longest.response.solve.selection.evaluation.cost);
+}
+
+// Regression: a seasonal-spike amplitude of 1e15 wrapped the busy time
+// and aborted the server (every tenant's session with it), num_periods
+// had no upper bound although every period is built up front, and a
+// period length of 2e12 months wrapped the storage bill. Each is refused
+// by name; at the bounds the timeline is served and, spiked over the
+// largest wire workload, bills every row non-negative.
+TEST(SessionManager, TimelineSpikesAndPeriodsBoundedOnTheWire) {
+  std::unique_ptr<AdvisorService> service =
+      AdvisorService::Create({}).MoveValue();
+  const std::string head = R"({"kind":"timeline","timeline":{)";
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {R"("num_periods":4,"period_length_milli_months":1000,"drifts":[)"
+       R"({"kind":"seasonal-spike","season_length":2,"amplitude":1e15}])",
+       "amplitude"},
+      // Aligned spikes compound: 2.01 x 2 is past kMaxSpikeFactor.
+      {R"("num_periods":2,"drifts":[)"
+       R"({"kind":"seasonal-spike","season_length":1,"amplitude":1.01},)"
+       R"({"kind":"seasonal-spike","season_length":1,"amplitude":1}])",
+       "amplitude"},
+      {R"("num_periods":9223372036854775807)", "num_periods"},
+      {R"("num_periods":)" + std::to_string(kMaxTimelinePeriods + 1),
+       "num_periods"},
+      {R"("num_periods":2,"period_length_milli_months":2000000000000000)",
+       "period_length"},
+  };
+  for (const auto& [timeline, field] : refused) {
+    SCOPED_TRACE(timeline);
+    ServeOutcome served = ServeText(*service, head + timeline + "}}");
+    EXPECT_TRUE(served.status.IsInvalidArgument()) << served.status;
+    EXPECT_NE(served.status.message().find(field), std::string::npos)
+        << served.status;
+  }
+
+  ServeOutcome longest = ServeText(
+      *service, head + R"("num_periods":)" +
+                    std::to_string(kMaxTimelinePeriods) + "}}");
+  ASSERT_TRUE(longest.status.ok()) << longest.status;
+  EXPECT_EQ(longest.response.timeline.ledger.size(),
+            static_cast<size_t>(kMaxTimelinePeriods));
+
+  // Every period spiked by exactly kMaxSpikeFactor, on the config that
+  // pins the frequency bound above.
+  ASSERT_TRUE(CreateSession(*service, "s",
+                            R"({"schema":"ssb","provider":"gigacloud",)"
+                            R"("instance_name":"g-micro","nb_instances":1})")
+                  .ok());
+  ServeOutcome spiked = ServeText(
+      *service,
+      R"({"kind":"timeline","session":"s","workload":)" + AtCapWorkload() +
+          R"(,"timeline":{"num_periods":1,"drifts":[{"kind":"seasonal-spike",)"
+          R"("season_length":1,"amplitude":3}]}})");
+  ASSERT_TRUE(spiked.status.ok()) << spiked.status;
+  ExpectNonNegativeRows(spiked.response.timeline.total);
 
   // The service kept serving through the refusals.
   EXPECT_TRUE(service->Serve(AdvisorRequest{}).status.ok());
